@@ -4,17 +4,21 @@ Run with:  python3 demos/demo_radon_nikodym.py
 
 Three stories on one stage:
   1. a four-point pair with two genuinely different densities,
-  2. a pair with no density at all, refuted chain by chain,
+  2. pairs with no density at all, refuted chain by chain and then by
+     whole prefixes of removed atoms,
   3. the decomposition-family machinery that certifies both answers.
 """
 
 from choquetrn import (
+    build_space,
+    cardinality_measure,
     check_decomposition,
     derive_function,
     dyadic_approximant,
     equal_ae,
     fixture_f1,
     fixture_f3,
+    indicator_full_measure,
     solve_rn,
     verify_rn,
 )
@@ -57,6 +61,22 @@ def main():
     print("  every maximal chain is infeasible, so no nonnegative density")
     print("  exists; note that mu << nu still holds, absolute continuity")
     print("  alone is not enough for monotone measures.")
+
+    print()
+    print("== refuting whole prefixes ==")
+    space3 = build_space(["1", "2", "3"])
+    mu3 = cardinality_measure(space3, "1/3")
+    nu3 = indicator_full_measure(space3)
+    print("nu = indicator of the full universe on {1,2,3}, mu = |A|/3")
+    cert3 = solve_rn(mu3, nu3)
+    print(f"  solvable: {cert3.solvable}")
+    for record in cert3.chain_records:
+        print(f"  prefix {record.removal_order}: {record.reason} "
+              f"({record.chains} maximal chains)")
+    print(f"  {cert3.chains_refuted} maximal chains refuted by "
+          f"{len(cert3.chain_records)} records: the first removed atom A")
+    print("  would need mu(A) = d_0 * nu(A) = 0, so no chain removing it")
+    print("  first can work, whatever comes after.")
 
     print()
     print("== and one that solves ==")

@@ -90,6 +90,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_args(args) -> None:
+    """Usage rules that argparse does not express."""
+    if args.command != "example" and not args.input:
+        raise _UsageError(f"{args.command} needs --input")
+    if args.n is not None and args.n < 1:
+        raise _UsageError("--n must be a positive integer")
+
+
 def _need(spec, kind, name):
     pool = getattr(spec, kind)
     if name not in pool:
@@ -101,7 +109,10 @@ def _resolve_set(spec, args):
     if args.set_atoms is None:
         return None
     names = [s for s in args.set_atoms.split(",") if s]
-    return spec.space.make_set(names)
+    try:
+        return spec.space.make_set(names)
+    except KeyError as exc:
+        raise ChoquetRnError(f"--set: {exc.args[0]}") from None
 
 
 def _run_command(args) -> dict:
@@ -195,7 +206,7 @@ def _run_command(args) -> dict:
     elif args.command == "dyadic":
         if spec.family is None:
             raise SpecFileError("the input file has no family")
-        n = args.n or 1
+        n = 1 if args.n is None else args.n
         t["function"] = dyadic_approximant(spec.family, n)
         t["n"] = n
         report["pass"] = True
@@ -223,7 +234,7 @@ def _run_command(args) -> dict:
         else:
             if certificate.ac_witness:
                 w["absolute_continuity"] = certificate.ac_witness
-            t["chains_refuted"] = len(certificate.chain_records)
+            t["chains_refuted"] = certificate.chains_refuted
         report["pass"] = certificate.solvable
 
     elif args.command == "classical":
@@ -278,7 +289,7 @@ def _run_example(args, report: dict) -> None:
             and not cmp_.equal and cmp_.diff_measure == 1
         )
     elif args.id == "ex-4-4":
-        n = args.n or 8
+        n = 8 if args.n is None else args.n
         model = fixture_f4(n)
         glue = glue_derivative(model, "threshold_tail")
         v["glue"] = glue.holds
@@ -310,6 +321,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_args(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
@@ -317,13 +329,7 @@ def main(argv=None) -> int:
 
     try:
         report = _run_command(args)
-    except SpecFileError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ChoquetRnError as exc:
+    except (ChoquetRnError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -333,8 +339,12 @@ def main(argv=None) -> int:
         render_json(report) if args.format == "json" else render_text(report)
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            print(f"usage error: cannot write --out: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(rendered)
     return report["exit_status"]

@@ -107,8 +107,12 @@ class ExtReal:
         return (a > b) - (a < b)
 
     def __eq__(self, other):
-        if isinstance(other, (ExtReal, int, str, Fraction)):
-            return self._cmp(other) == 0
+        # strings and negative numbers are never equal to a value, so that
+        # equal objects always hash alike
+        if isinstance(other, ExtReal):
+            return self._frac == other._frac
+        if isinstance(other, (int, Fraction)):
+            return self._frac is not None and self._frac == other
         return NotImplemented
 
     def __lt__(self, other):

@@ -166,12 +166,14 @@ def make_measure(space: MeasurableSpace, spec: Mapping) -> MonotoneMeasure:
     if rule == "explicit":
         table = {tuple(entry["set"]): entry["value"] for entry in spec["table"]}
         return measure_from_table(space, table)
-    if rule == "additive":
-        return additive_measure(space, spec["weights"])
+    if rule in ("additive", "max_weight"):
+        weights = spec["weights"]
+        if not isinstance(weights, Mapping):
+            raise InvalidMeasureError("weights must map atom names to values")
+        build = additive_measure if rule == "additive" else max_weight_measure
+        return build(space, weights)
     if rule == "indicator_full":
         return indicator_full_measure(space, spec.get("value", 1))
-    if rule == "max_weight":
-        return max_weight_measure(space, spec["weights"])
     if rule == "cardinality":
         return cardinality_measure(space, spec.get("scale", 1))
     if rule == "zero":

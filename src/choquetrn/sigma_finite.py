@@ -37,9 +37,6 @@ from .spaces import MeasurableSet, MeasurableSpace, build_space
 # documented polynomial family of test sets
 _EXHAUSTIVE_LIMIT = 12
 
-DEFAULT_DEPTH = 16
-MAX_DEPTH = 64
-
 
 def _measure_from_rule(space: MeasurableSpace, rule, depth_index: int) -> MonotoneMeasure:
     name = rule.get("rule")
@@ -105,8 +102,11 @@ def make_truncation_model(
     if depths is None:
         depths = list(range(1, len(names) + 1))
     depths = tuple(depths)
-    if list(depths) != sorted(set(depths)) or depths[-1] > len(names) or depths[0] < 1:
-        raise PreconditionError("depths must be strictly increasing prefix lengths")
+    if (not depths or list(depths) != sorted(set(depths))
+            or depths[-1] > len(names) or depths[0] < 1):
+        raise PreconditionError(
+            "depths must be a nonempty, strictly increasing list of prefix lengths"
+        )
 
     spaces = tuple(build_space(names[:d]) for d in depths)
     mus = tuple(

@@ -10,12 +10,21 @@ integral of such a function over any set A is
     sum_i d_i * nu(A & B_i),
 
 so the density equations mu(A) = integral over A become an exact linear
-system in d with nonnegativity constraints.  The solver enumerates all
-maximal chains in canonical order (lexicographic by removed-atom index),
-solves each system by exact Gaussian elimination over the rationals, and
-decides nonnegativity on the solution manifold by Fourier-Motzkin
-elimination.  The first feasible chain yields the density; if every chain is
-infeasible the pair has no density at all.
+system in d with nonnegativity constraints.  The solver searches the maximal
+chains in canonical order (lexicographic by removed-atom index), solves each
+system by exact Gaussian elimination over the rationals, and decides
+nonnegativity on the solution manifold by Fourier-Motzkin elimination.  The
+first feasible chain yields the density; if every chain is infeasible the
+pair has no density at all.
+
+The search is depth first over removal prefixes and skips whole subtrees.
+Let R_k be the union of the first k removed atoms, 1 <= k <= m - 1.  For
+every A inside R_k the set A & B_i is empty for i >= k, so the equation for A
+involves only d_0, ..., d_{k-1}.  When these prefix equations have no
+nonnegative solution, no chain extending the prefix has one either, and the
+(m + 1 - k)! chains below it are refuted together.  Full chains are still
+solved on all sets and re-verified, so pruning changes neither the verdict
+nor the first feasible chain nor its density.
 
 Completeness: any density induces an ordering of algebra atoms by value;
 every maximal chain refining that ordering reproduces it with repeated
@@ -29,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from math import factorial
 from typing import List, Optional, Tuple
 
 from .choquet import choquet_value, indefinite_integral_measure
@@ -179,13 +188,18 @@ def _feasible_point(inequalities, nvars):
     return point
 
 
-# -- chain enumeration solver ------------------------------------------------
+# -- chain search solver -----------------------------------------------------
 
 @dataclass(frozen=True)
 class ChainRecord:
+    """An infeasible removal order: a full maximal chain, or a prefix whose
+    own equations already fail, standing for the ``chains`` maximal chains
+    that extend it."""
+
     removal_order: tuple  # block indices in removal order
     feasible: bool
     reason: str
+    chains: int = 1
 
 
 @dataclass(frozen=True)
@@ -202,13 +216,19 @@ class SolverCertificate:
     def __bool__(self):
         return self.solvable
 
+    @property
+    def chains_refuted(self) -> int:
+        """The number of maximal chains the records rule out."""
+        return sum(r.chains for r in self.chain_records)
+
 
 def solve_rn(mu: MonotoneMeasure, nu: MonotoneMeasure) -> SolverCertificate:
     """Decide whether mu(A) = integral of f d nu for some nonnegative f.
 
     Success certificates carry the density, its level-set family and a full
-    re-verification.  Failure certificates record every maximal chain as
-    infeasible, plus an absolute-continuity witness when one exists.
+    re-verification.  Failure certificates record every infeasible prefix
+    and full chain, which together cover all maximal chains, plus an
+    absolute-continuity witness when one exists.
     """
     if mu.space != nu.space:
         raise SpaceMismatchError("measures live on different spaces")
@@ -216,21 +236,66 @@ def solve_rn(mu: MonotoneMeasure, nu: MonotoneMeasure) -> SolverCertificate:
         raise PreconditionError("the solver requires finite measures")
     space = mu.space
     nb = space.n_blocks
+    blocks = space.blocks
 
     all_masks = [A.mask for A in space.subsets()]
     mu_frac = {m: mu.value_of_mask(m).as_fraction() for m in all_masks}
     nu_frac = {m: nu.value_of_mask(m).as_fraction() for m in all_masks}
 
-    records = []
-    for order in permutations(range(nb)):
-        chain_masks = [space.full_mask]
+    def chain_masks_of(order):
+        masks = [space.full_mask]
         for idx in order[:-1]:
-            chain_masks.append(chain_masks[-1] & ~space.blocks[idx])
+            masks.append(masks[-1] & ~blocks[idx])
+        return masks
+
+    def prefix_feasible(prefix):
+        # the equations of the sets inside the removed atoms, in d_0..d_{k-1}.
+        # The removed atoms one by one come first and form a triangular
+        # system; the sets holding the newest atom follow, since the others
+        # already passed with the shorter prefix.
+        chain_masks = chain_masks_of(prefix)
+        removed = [blocks[idx] for idx in prefix]
+        subsets = [0]
+        for block in removed:
+            subsets += [A | block for A in subsets]
+        half = len(subsets) // 2
+        singles = set(removed)
+        ordered = removed + [
+            A for A in subsets[half:] + subsets[1:half] if A not in singles
+        ]
+        rows = (
+            (tuple(nu_frac[A & B] for B in chain_masks), mu_frac[A])
+            for A in ordered
+        )
+        return _solve_chain_system(rows, len(prefix)) is not None
+
+    records = []
+
+    def orders(prefix, remaining):
+        # full removal orders in lexicographic order, skipping the subtrees
+        # of infeasible prefixes
+        if len(remaining) <= 1:
+            yield prefix + remaining
+            return
+        for pos, idx in enumerate(remaining):
+            order = prefix + (idx,)
+            rest = remaining[:pos] + remaining[pos + 1:]
+            if len(rest) > 1 and not prefix_feasible(order):
+                records.append(
+                    ChainRecord(removal_order=order, feasible=False,
+                                reason="no nonnegative solution of the prefix system",
+                                chains=factorial(len(rest)))
+                )
+                continue
+            yield from orders(order, rest)
+
+    for order in orders((), tuple(range(nb))):
+        chain_masks = chain_masks_of(order)
 
         def rows():
             # chain sets and singletons first: they expose pivots and
             # contradictions quickly; the remaining sets only confirm.
-            ordered = chain_masks + list(space.blocks)
+            ordered = chain_masks + list(blocks)
             seen = set(ordered)
             ordered += [m for m in all_masks if m not in seen]
             for A_mask in ordered:
@@ -255,7 +320,7 @@ def solve_rn(mu: MonotoneMeasure, nu: MonotoneMeasure) -> SolverCertificate:
         values = [None] * nb
         for i, B in enumerate(chain_masks):
             for b in range(nb):
-                if space.blocks[b] & B == space.blocks[b]:
+                if blocks[b] & B == blocks[b]:
                     values[b] = ExtReal(heights[i])
         f = SimpleFunction(space, tuple(values))
         verification = verify_rn(mu, nu, f)
@@ -366,7 +431,7 @@ class ClassicalReport:
     function: Optional[SimpleFunction]
     verification: Optional[RnReport]
     ratio_match: Optional[AeComparison]
-    solver_agrees: bool
+    solver_agrees: bool  # solve_rn finds a density exactly when mu << nu
 
     def __bool__(self):
         return self.holds
@@ -375,6 +440,7 @@ class ClassicalReport:
 def classical_rn_check(mu: MonotoneMeasure, nu: MonotoneMeasure) -> ClassicalReport:
     _require_additive(mu, nu)
     ac = abs_continuous(mu, nu)
+    certificate = solve_rn(mu, nu)
     if ac.holds:
         family = classical_family(mu, nu)
         decomposition = check_decomposition(mu, nu, family)
@@ -389,9 +455,8 @@ def classical_rn_check(mu: MonotoneMeasure, nu: MonotoneMeasure) -> ClassicalRep
             function=f,
             verification=verification,
             ratio_match=ratio_match,
-            solver_agrees=True,
+            solver_agrees=certificate.solvable,
         )
-    certificate = solve_rn(mu, nu)
     return ClassicalReport(
         holds=False,
         ac=ac,

@@ -48,25 +48,41 @@ class ProblemSpec:
     raw: dict = field(default_factory=dict)
 
 
+# what building the library objects raises on malformed entries
+_MALFORMED = (ValueError, KeyError, TypeError, ZeroDivisionError, ChoquetRnError)
+
+
+def _object(value, location: str) -> dict:
+    if not isinstance(value, dict):
+        raise SpecFileError(
+            f"expected an object, got {type(value).__name__}", location=location
+        )
+    return value
+
+
 def parse_problem(data: dict) -> ProblemSpec:
     spec = ProblemSpec(raw=data)
     try:
         if "atoms" in data:
             spec.space = build_space(data["atoms"], data.get("partition"))
-    except (ValueError, ChoquetRnError) as exc:
+    except _MALFORMED as exc:
         raise SpecFileError(str(exc), location="atoms/partition") from exc
 
     if spec.space is not None:
-        for name, rule in data.get("measures", {}).items():
+        for name, rule in _object(data.get("measures", {}), "measures").items():
+            location = f"measures.{name}"
+            _object(rule, location)
             try:
                 spec.measures[name] = make_measure(spec.space, rule)
-            except (ValueError, KeyError, ChoquetRnError) as exc:
-                raise SpecFileError(str(exc), location=f"measures.{name}") from exc
-        for name, table in data.get("functions", {}).items():
+            except _MALFORMED as exc:
+                raise SpecFileError(str(exc), location=location) from exc
+        for name, table in _object(data.get("functions", {}), "functions").items():
+            location = f"functions.{name}"
+            _object(table, location)
             try:
                 spec.functions[name] = function_from_values(spec.space, table)
-            except (ValueError, KeyError, ChoquetRnError) as exc:
-                raise SpecFileError(str(exc), location=f"functions.{name}") from exc
+            except _MALFORMED as exc:
+                raise SpecFileError(str(exc), location=location) from exc
         if "family" in data:
             try:
                 breakpoints = [
@@ -79,11 +95,11 @@ def parse_problem(data: dict) -> ProblemSpec:
                     else None
                 )
                 spec.family = make_family(spec.space, breakpoints, zero_plus=zero_plus)
-            except (ValueError, KeyError, ChoquetRnError) as exc:
+            except _MALFORMED as exc:
                 raise SpecFileError(str(exc), location="family") from exc
 
     if "truncations" in data:
-        block = data["truncations"]
+        block = _object(data["truncations"], "truncations")
         try:
             n_max = block.get("N_max")
             atoms = block.get("atoms")
@@ -93,26 +109,39 @@ def parse_problem(data: dict) -> ProblemSpec:
                     raise ValueError("truncations need 'atoms' or 'N_max'")
                 atoms = [str(k) for k in range(int(n_max) + 1)]
                 depths = [n + 1 for n in range(1, int(n_max) + 1)]
+            rules = _object(block["measures"], "truncations.measures")
             spec.model = make_truncation_model(
                 atoms,
-                mu_rule=block["measures"]["mu"],
-                nu_rule=block["measures"]["nu"],
+                mu_rule=_object(rules["mu"], "truncations.measures.mu"),
+                nu_rule=_object(rules["nu"], "truncations.measures.nu"),
                 depths=depths,
             )
             spec.family_generator = block.get("family", "threshold_tail")
             spec.n_max = n_max
-        except (ValueError, KeyError, ChoquetRnError) as exc:
+        except SpecFileError:
+            raise
+        except _MALFORMED as exc:
             raise SpecFileError(str(exc), location="truncations") from exc
 
     return spec
 
 
+def _reject_float(text):
+    raise SpecFileError(
+        f"{text}: floats are not allowed; write an integer or a 'p/q' string"
+    )
+
+
 def load_problem(path: str) -> ProblemSpec:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(
+                handle, parse_float=_reject_float, parse_constant=_reject_float
+            )
     except OSError as exc:
         raise SpecFileError(str(exc), location=path) from exc
+    except UnicodeDecodeError as exc:
+        raise SpecFileError(f"not UTF-8 text: {exc.reason}", location=path) from exc
     except json.JSONDecodeError as exc:
         raise SpecFileError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",

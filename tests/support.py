@@ -1,11 +1,14 @@
 """Shared random generators and independent oracles for the test suite.
 
-The oracle here evaluates Choquet integrals by a different route than the
+The Choquet oracle here evaluates integrals by a different route than the
 library (descending rank telescoping instead of threshold layers), so
-agreement between the two is a real cross-check, not a tautology.
+agreement between the two is a real cross-check, not a tautology.  The
+solver oracle tries every maximal chain without pruning, so it checks that
+the library's prefix pruning never skips a feasible chain.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 from choquetrn import (
     ExtReal,
@@ -17,7 +20,9 @@ from choquetrn import (
     additive_measure,
     build_space,
     measure_from_table,
+    verify_rn,
 )
+from choquetrn.solver import _solve_chain_system
 
 
 def random_space(rng, min_atoms=2, max_atoms=5):
@@ -116,3 +121,47 @@ def choquet_oracle(f, nu, A=None):
                 MeasurableSet(space, acc_mask & A.mask)
             )
     return total
+
+
+def exhaustive_solve(mu, nu):
+    """The density search over all n! maximal chains, without pruning.
+
+    Returns ``(chain, function)`` for the first feasible chain in
+    lexicographic order, or ``(None, None)`` when every chain fails.
+    """
+    space = mu.space
+    nb = space.n_blocks
+    all_masks = [A.mask for A in space.subsets()]
+    mu_frac = {m: mu.value_of_mask(m).as_fraction() for m in all_masks}
+    nu_frac = {m: nu.value_of_mask(m).as_fraction() for m in all_masks}
+
+    for order in permutations(range(nb)):
+        chain_masks = [space.full_mask]
+        for idx in order[:-1]:
+            chain_masks.append(chain_masks[-1] & ~space.blocks[idx])
+        # the solver's row order: with free variables, the point found
+        # depends on which rows pivot first
+        ordered = chain_masks + list(space.blocks)
+        seen = set(ordered)
+        ordered += [m for m in all_masks if m not in seen]
+        rows = [
+            (tuple(nu_frac[A & B] for B in chain_masks), mu_frac[A])
+            for A in ordered
+        ]
+        d = _solve_chain_system(rows, nb)
+        if d is None:
+            continue
+        heights = []
+        acc = Fraction(0)
+        for inc in d:
+            acc += inc
+            heights.append(acc)
+        values = [None] * nb
+        for i, B in enumerate(chain_masks):
+            for b in range(nb):
+                if space.blocks[b] & B == space.blocks[b]:
+                    values[b] = ExtReal(heights[i])
+        f = SimpleFunction(space, tuple(values))
+        assert verify_rn(mu, nu, f).holds
+        return order, f
+    return None, None

@@ -91,6 +91,29 @@ class TestOrderAndHelpers:
         assert ExtReal(3) == 3
         assert hash(ExtReal(Fraction(1, 2))) == hash(ExtReal("1/2"))
 
+    @given(
+        st.one_of(nonneg_fractions, st.none()),
+        st.one_of(
+            nonneg_fractions,
+            st.integers(min_value=-3, max_value=100),
+            nonneg_fractions.map(ExtReal),
+            st.just(INF),
+            nonneg_fractions.map(str),
+            st.sampled_from(["inf", "1", "0"]),
+        ),
+    )
+    def test_equal_values_hash_equal(self, a, other):
+        x = ExtReal(a)
+        if x == other:
+            assert hash(x) == hash(other)
+        assert (x == other) == (other == x)
+
+    def test_strings_and_negatives_are_not_equal_to_values(self):
+        assert ExtReal(1) != "1"
+        assert INF != "inf"
+        assert ExtReal(1) != -1  # no coercion, so no ValueError either
+        assert len({ExtReal(1), 1, Fraction(1)}) == 1
+
     def test_as_fraction_raises_on_infinity(self):
         with pytest.raises(OverflowError):
             INF.as_fraction()

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -35,6 +36,7 @@ from choquetrn import (
     verify_rn,
 )
 from support import (
+    exhaustive_solve,
     random_additive_measure,
     random_monotone_measure,
     random_simple_function,
@@ -140,6 +142,90 @@ class TestSolveRn:
         assert a.function == b.function and a.chain == b.chain
 
 
+def _ac_broken_pair(space, rng):
+    """nu ignores one atom; mu adds mass on every set holding it."""
+    null_bit = space.blocks[rng.randrange(space.n_blocks)]
+    base = random_monotone_measure(space, rng)
+    nu = measure_from_table(
+        space, {A: base.value_of_mask(A.mask & ~null_bit) for A in space.subsets()}
+    )
+    mu0 = indefinite_integral_measure(random_simple_function(space, rng), nu)
+    bump = Fraction(rng.randrange(1, 4), rng.choice((1, 2)))
+    mu = measure_from_table(
+        space,
+        {A: mu0(A) + (bump if A.mask & null_bit else 0) for A in space.subsets()},
+    )
+    return mu, nu
+
+
+def _pair(kind, space, rng):
+    if kind == "ac-broken":
+        return _ac_broken_pair(space, rng)
+    nu = random_monotone_measure(space, rng)
+    if kind == "solvable":
+        return indefinite_integral_measure(random_simple_function(space, rng), nu), nu
+    return random_monotone_measure(space, rng), nu
+
+
+def _extends(order, prefix):
+    return order[:len(prefix)] == prefix
+
+
+class TestPrefixPruning:
+    """The pruned search against the exhaustive n!-chain oracle."""
+
+    @pytest.mark.parametrize("n, trials", [(2, 8), (3, 8), (4, 6), (5, 3), (6, 2)])
+    def test_matches_exhaustive_search(self, n, trials):
+        rng = random.Random(3500 + n)
+        space = build_space([f"x{i}" for i in range(n)])
+        pruned = 0
+        for kind in ("solvable", "ac-broken", "unrelated"):
+            for _ in range(trials):
+                mu, nu = _pair(kind, space, rng)
+                chain, function = exhaustive_solve(mu, nu)
+                cert = solve_rn(mu, nu)
+                assert cert.solvable == (chain is not None)
+                assert cert.chain == chain
+                assert cert.function == function
+                if kind != "unrelated":
+                    assert cert.solvable == (kind == "solvable")
+
+                records = cert.chain_records
+                orders = [r.removal_order for r in records]
+                assert not any(r.feasible for r in records)
+                assert all(
+                    r.chains == factorial(n - len(r.removal_order)) for r in records
+                )
+                assert not any(
+                    p != q and _extends(q, p) for p in orders for q in orders
+                )
+                # every chain tried before the verdict is ruled out by
+                # exactly one record, and no later chain is
+                before = [
+                    c for c in permutations(range(n)) if chain is None or c < chain
+                ]
+                for c in before:
+                    assert sum(_extends(c, p) for p in orders) == 1
+                assert cert.chains_refuted == len(before)
+                if not cert.solvable:
+                    assert cert.chains_refuted == factorial(n)
+                pruned += sum(len(p) < n for p in orders)
+        if n >= 3:
+            assert pruned > 0  # the differential test exercises pruning
+
+    def test_prefix_records_cover_the_subtree(self):
+        """mu(A) = |A|/3 against the indicator of U: no single atom can carry
+        mass, so each first removal is refuted at once for 2! chains."""
+        space = build_space(["1", "2", "3"])
+        mu = cardinality_measure(space, Fraction(1, 3))
+        nu = indicator_full_measure(space)
+        cert = solve_rn(mu, nu)
+        assert not cert.solvable
+        assert [r.removal_order for r in cert.chain_records] == [(0,), (1,), (2,)]
+        assert [r.chains for r in cert.chain_records] == [2, 2, 2]
+        assert cert.chains_refuted == 6
+
+
 class TestHahn:
     def test_positive_set_properties(self):
         rng = random.Random(33)
@@ -216,6 +302,31 @@ class TestClassicalPathway:
         assert not report.ac.holds
         assert report.solver_agrees  # solve_rn also says unsolvable
 
+    @pytest.mark.parametrize("ac_pair", [True, False])
+    def test_solver_agreement_is_computed(self, monkeypatch, ac_pair):
+        """solver_agrees comes from running solve_rn, in both branches."""
+        import choquetrn.solver as solver_module
+
+        space = build_space(["a", "b"])
+        nu = additive_measure(space, {"a": 1, "b": 0 if not ac_pair else 1})
+        mu = additive_measure(space, {"a": 1, "b": 2})
+        assert classical_rn_check(mu, nu).solver_agrees
+        # a certificate with the opposite verdict, from a fixed other pair
+        other = fixture_f3() if ac_pair else fixture_f1()
+        wrong = solve_rn(other.mu, other.nu)
+        assert wrong.solvable != ac_pair
+        calls = []
+
+        def contrary(m, n):
+            calls.append((m, n))
+            return wrong
+
+        monkeypatch.setattr(solver_module, "solve_rn", contrary)
+        report = classical_rn_check(mu, nu)
+        assert calls == [(mu, nu)]
+        assert report.ac.holds == ac_pair
+        assert not report.solver_agrees
+
     def test_randomized_ac_pairs(self):
         rng = random.Random(34)
         for _ in range(80):
@@ -234,4 +345,5 @@ class TestClassicalPathway:
             assert mu.is_additive()
             report = classical_rn_check(mu, nu)
             assert report.holds
+            assert report.solver_agrees
             assert equal_ae(report.function, f, nu).equal

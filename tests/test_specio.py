@@ -105,6 +105,39 @@ def test_error_locations():
     assert err.value.location == "truncations"
 
 
+@pytest.mark.parametrize("data, location", [
+    ({"atoms": ["a"], "measures": {"m": {"rule": "additive", "weights": {"a": 0.5}}}},
+     "measures.m"),
+    ({"atoms": ["a"], "measures": {"m": {"rule": "cardinality", "scale": "1/0"}}},
+     "measures.m"),
+    ({"atoms": ["a"], "measures": ["m"]}, "measures"),
+    ({"atoms": ["a"], "measures": {"m": "additive"}}, "measures.m"),
+    ({"atoms": ["a"], "measures": {"m": {"rule": "max_weight", "weights": "a"}}},
+     "measures.m"),
+    ({"atoms": ["a"], "functions": {"f": 2}}, "functions.f"),
+    ({"atoms": 3}, "atoms/partition"),
+    ({"truncations": []}, "truncations"),
+    ({"truncations": {"N_max": 0, "measures": {"mu": {"rule": "max_element"},
+                                               "nu": {"rule": "max_element"}}}},
+     "truncations"),
+    ({"truncations": {"N_max": 2, "measures": {"mu": 1, "nu": {}}}},
+     "truncations.measures.mu"),
+])
+def test_malformed_entries_are_located(data, location):
+    """Wrong types and values in any entry give a located SpecFileError."""
+    with pytest.raises(SpecFileError) as err:
+        parse_problem(data)
+    assert err.value.location == location
+
+
+def test_floats_rejected_when_loading(tmp_path):
+    path = tmp_path / "float.json"
+    path.write_text('{"atoms": ["a"], "note": 1.5}')
+    with pytest.raises(SpecFileError) as err:
+        load_problem(str(path))
+    assert "floats are not allowed" in str(err.value)
+
+
 def test_load_problem_file_errors(tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(SpecFileError):
