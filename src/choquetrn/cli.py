@@ -40,6 +40,10 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 
+# Largest --n for dyadic (n * 2^n grid points) and ex-4-4 (a full power set
+# per truncation level); both grow exponentially in n.
+MAX_N = 16
+
 
 class _UsageError(Exception):
     pass
@@ -94,8 +98,8 @@ def _check_args(args) -> None:
     """Usage rules that argparse does not express."""
     if args.command != "example" and not args.input:
         raise _UsageError(f"{args.command} needs --input")
-    if args.n is not None and args.n < 1:
-        raise _UsageError("--n must be a positive integer")
+    if args.n is not None and not 1 <= args.n <= MAX_N:
+        raise _UsageError(f"--n must be an integer from 1 to {MAX_N}")
 
 
 def _need(spec, kind, name):

@@ -17,9 +17,19 @@ The two-sided inequality check quantifies over all rational pairs
 alpha < beta.  Within a constant band the inequalities are trivial; across
 bands they are linear in alpha and beta, and since the order relation is
 closed, the infinitely many rational instances reduce to one inequality pair
-per ordered band pair, taken at the supremum of the lower band (left
-coefficient) and the infimum of the upper band (right coefficient) -- whether
-or not those endpoints are attained.
+per ordered band pair p < q, taken at the supremum hi_p of the lower band
+(left coefficient) and the infimum lo_q of the upper band (right coefficient)
+-- whether or not those endpoints are attained.
+
+Adjacent band pairs decide all of them.  Bands are contiguous, hi_k =
+lo_{k+1}, so the pair (k, k+1) on a set A says dmu_k = hi_k * dnu_k exactly,
+where dnu_k = nu(A & S_k) - nu(A & S_{k+1}) >= 0 because nu is monotone and
+the band sets S_k decrease.  For p < q the drops add up:
+dmu_{p,q} = sum_{k=p}^{q-1} hi_k * dnu_k with hi_p <= hi_k <= hi_{q-1} = lo_q,
+hence hi_p * dnu_{p,q} <= dmu_{p,q} <= lo_q * dnu_{p,q}.  Bands with equal
+sets (a zero-plus set equal to U or to A_1) drop nothing: 0 <= 0 <= 0.  So a
+set fails some band pair iff it fails an adjacent one, and each set costs one
+measure lookup per band and measure instead of four per band pair.
 """
 
 from __future__ import annotations
@@ -233,6 +243,27 @@ class DecompositionReport:
         return self.holds
 
 
+def _pair_record(A, bands, p, q, nu_values, mu_values) -> PairRecord:
+    """Bands p < q on A, from the per-band values nu(A & S_k), mu(A & S_k)."""
+    dnu = nu_values[p] - nu_values[q]
+    dmu = mu_values[p] - mu_values[q]
+    left_c = bands[p].hi
+    right_c = bands[q].lo
+    left = left_c * dnu
+    right = right_c * dnu
+    return PairRecord(
+        set=A,
+        lower_band=p,
+        upper_band=q,
+        left_coefficient=left_c,
+        right_coefficient=right_c,
+        left=left,
+        middle=dmu,
+        right=right,
+        ok=left <= dmu <= right,
+    )
+
+
 def check_decomposition(
     mu: MonotoneMeasure,
     nu: MonotoneMeasure,
@@ -243,7 +274,12 @@ def check_decomposition(
     rational threshold pairs, plus the vanishing-tail condition.
 
     The rational quantification reduces to one inequality pair per ordered
-    band pair (see module docstring).  Requires finite measures.
+    band pair, and those to the adjacent band pairs (see module docstring):
+    each set is decided by one measure lookup per band and measure.
+    ``checked_pairs`` counts the band pairs the verdict covers; the witness
+    is the first failing band pair, in lexicographic order, on the first
+    failing set.  ``detail`` adds one record per band pair and set.
+    Requires finite measures.
     """
     space = family.space
     if mu.space != space or nu.space != space:
@@ -261,6 +297,9 @@ def check_decomposition(
         for q in range(p + 1, nb)
         if bands[p].set != bands[q].set
     ]
+    band_masks = [band.set.mask for band in bands]
+    # hi of band k is lo of band k + 1, so the adjacent sandwich is an equality
+    his = [band.hi for band in bands[:-1]]
 
     witness = None
     holds = True
@@ -268,47 +307,38 @@ def check_decomposition(
     n_sets = 0
     for A in space.subsets():
         n_sets += 1
-        for p, q in pairs:
-            Sp, Sq = bands[p].set, bands[q].set
-            nu_p = nu(A & Sp).as_fraction()
-            nu_q = nu(A & Sq).as_fraction()
-            mu_p = mu(A & Sp).as_fraction()
-            mu_q = mu(A & Sq).as_fraction()
-            dnu = nu_p - nu_q
-            dmu = mu_p - mu_q
-            left_c = bands[p].hi
-            right_c = bands[q].lo
-            left = left_c * dnu
-            right = right_c * dnu
-            ok = left <= dmu <= right
-            if detail:
-                records.append(
-                    PairRecord(
-                        set=A,
-                        lower_band=p,
-                        upper_band=q,
-                        left_coefficient=left_c,
-                        right_coefficient=right_c,
-                        left=left,
-                        middle=dmu,
-                        right=right,
-                        ok=ok,
-                    )
-                )
-            if not ok and holds:
-                holds = False
-                side = "left" if left > dmu else "right"
-                # monotonicity makes all three quantities nonnegative
-                witness = Witness(
-                    kind="decomposition-inequality",
-                    sets=(A, Sp, Sq),
-                    values=(ExtReal(left), ExtReal(dmu), ExtReal(right)),
-                    detail=(
-                        f"{side} inequality fails on A={A}: "
-                        f"{left} <= {dmu} <= {right} with coefficients "
-                        f"[{left_c}, {right_c}]"
-                    ),
-                )
+        cuts = [A.mask & S for S in band_masks]
+        nu_values = [nu.value_of_mask(c).as_fraction() for c in cuts]
+        mu_values = [mu.value_of_mask(c).as_fraction() for c in cuts]
+        if detail:
+            records.extend(
+                _pair_record(A, bands, p, q, nu_values, mu_values)
+                for p, q in pairs
+            )
+        if holds and not all(
+            mu_values[k] - mu_values[k + 1] == hi * (nu_values[k] - nu_values[k + 1])
+            for k, hi in enumerate(his)
+            if cuts[k] != cuts[k + 1]
+        ):
+            holds = False
+            pair_records = (
+                _pair_record(A, bands, p, q, nu_values, mu_values) for p, q in pairs
+            )
+            first = next(r for r in pair_records if not r.ok)
+            side = "left" if first.left > first.middle else "right"
+            # monotonicity makes all three quantities nonnegative
+            witness = Witness(
+                kind="decomposition-inequality",
+                sets=(A, bands[first.lower_band].set, bands[first.upper_band].set),
+                values=(ExtReal(first.left), ExtReal(first.middle),
+                        ExtReal(first.right)),
+                detail=(
+                    f"{side} inequality fails on A={A}: "
+                    f"{first.left} <= {first.middle} <= {first.right} with "
+                    f"coefficients [{first.left_coefficient}, "
+                    f"{first.right_coefficient}]"
+                ),
+            )
 
     tail = family.tail_set
     tail_mu = mu(tail)

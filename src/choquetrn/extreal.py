@@ -95,13 +95,19 @@ class ExtReal:
 
     # -- order --------------------------------------------------------------
 
-    def _cmp(self, other) -> int:
-        other = _coerce(other)
-        a, b = self._frac, other._frac
-        if a is None and b is None:
-            return 0
+    def _cmp(self, other):
+        """-1, 0 or 1, or NotImplemented for anything but ExtReal, int or
+        Fraction.  Plain numbers are compared as they are, so every value
+        exceeds a negative number, as ``__eq__`` has it."""
+        if isinstance(other, ExtReal):
+            b = other._frac
+        elif isinstance(other, (int, Fraction)):
+            b = other
+        else:
+            return NotImplemented
+        a = self._frac
         if a is None:
-            return 1
+            return 0 if b is None else 1
         if b is None:
             return -1
         return (a > b) - (a < b)
@@ -116,16 +122,20 @@ class ExtReal:
         return NotImplemented
 
     def __lt__(self, other):
-        return self._cmp(other) < 0
+        c = self._cmp(other)
+        return c if c is NotImplemented else c < 0
 
     def __le__(self, other):
-        return self._cmp(other) <= 0
+        c = self._cmp(other)
+        return c if c is NotImplemented else c <= 0
 
     def __gt__(self, other):
-        return self._cmp(other) > 0
+        c = self._cmp(other)
+        return c if c is NotImplemented else c > 0
 
     def __ge__(self, other):
-        return self._cmp(other) >= 0
+        c = self._cmp(other)
+        return c if c is NotImplemented else c >= 0
 
     def __hash__(self):
         return hash(self._frac)

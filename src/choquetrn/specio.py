@@ -60,7 +60,28 @@ def _object(value, location: str) -> dict:
     return value
 
 
+def _reject_floats(value, location: str) -> None:
+    if isinstance(value, float):
+        raise SpecFileError(
+            f"{value!r}: floats are not allowed; write an integer or a 'p/q' string",
+            location=location,
+        )
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            _reject_floats(item, location)
+
+
 def parse_problem(data: dict) -> ProblemSpec:
+    # one rule for files and dicts: a float anywhere is an error, located at
+    # its top-level key or, for measures and functions, at its entry
+    for key, value in data.items():
+        if key in ("measures", "functions") and isinstance(value, dict):
+            for name, entry in value.items():
+                _reject_floats(entry, f"{key}.{name}")
+        else:
+            _reject_floats(value, str(key))
     spec = ProblemSpec(raw=data)
     try:
         if "atoms" in data:
@@ -126,18 +147,10 @@ def parse_problem(data: dict) -> ProblemSpec:
     return spec
 
 
-def _reject_float(text):
-    raise SpecFileError(
-        f"{text}: floats are not allowed; write an integer or a 'p/q' string"
-    )
-
-
 def load_problem(path: str) -> ProblemSpec:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(
-                handle, parse_float=_reject_float, parse_constant=_reject_float
-            )
+            data = json.load(handle)
     except OSError as exc:
         raise SpecFileError(str(exc), location=path) from exc
     except UnicodeDecodeError as exc:

@@ -4,7 +4,9 @@ The Choquet oracle here evaluates integrals by a different route than the
 library (descending rank telescoping instead of threshold layers), so
 agreement between the two is a real cross-check, not a tautology.  The
 solver oracle tries every maximal chain without pruning, so it checks that
-the library's prefix pruning never skips a feasible chain.
+the library's prefix pruning never skips a feasible chain.  The
+decomposition oracle tests every ordered band pair on every set, so it checks
+that deciding each set from its adjacent band pairs loses nothing.
 """
 
 from fractions import Fraction
@@ -22,6 +24,8 @@ from choquetrn import (
     measure_from_table,
     verify_rn,
 )
+from choquetrn.decomposition import DecompositionReport, PairRecord
+from choquetrn.results import Witness
 from choquetrn.solver import _solve_chain_system
 
 
@@ -165,3 +169,84 @@ def exhaustive_solve(mu, nu):
         assert verify_rn(mu, nu, f).holds
         return order, f
     return None, None
+
+
+def all_pairs_decomposition(mu, nu, family, detail=False):
+    """The decomposition check over every ordered band pair p < q on every
+    set, four measure lookups per pair, with the library's report fields."""
+    space = family.space
+    bands = family.bands()
+    nb = len(bands)
+    pairs = [
+        (p, q)
+        for p in range(nb - 1)
+        for q in range(p + 1, nb)
+        if bands[p].set != bands[q].set
+    ]
+
+    witness = None
+    holds = True
+    records = []
+    n_sets = 0
+    for A in space.subsets():
+        n_sets += 1
+        for p, q in pairs:
+            Sp, Sq = bands[p].set, bands[q].set
+            dnu = nu(A & Sp).as_fraction() - nu(A & Sq).as_fraction()
+            dmu = mu(A & Sp).as_fraction() - mu(A & Sq).as_fraction()
+            left_c = bands[p].hi
+            right_c = bands[q].lo
+            left = left_c * dnu
+            right = right_c * dnu
+            ok = left <= dmu <= right
+            if detail:
+                records.append(
+                    PairRecord(
+                        set=A,
+                        lower_band=p,
+                        upper_band=q,
+                        left_coefficient=left_c,
+                        right_coefficient=right_c,
+                        left=left,
+                        middle=dmu,
+                        right=right,
+                        ok=ok,
+                    )
+                )
+            if not ok and holds:
+                holds = False
+                side = "left" if left > dmu else "right"
+                witness = Witness(
+                    kind="decomposition-inequality",
+                    sets=(A, Sp, Sq),
+                    values=(ExtReal(left), ExtReal(dmu), ExtReal(right)),
+                    detail=(
+                        f"{side} inequality fails on A={A}: "
+                        f"{left} <= {dmu} <= {right} with coefficients "
+                        f"[{left_c}, {right_c}]"
+                    ),
+                )
+
+    tail = family.tail_set
+    tail_mu = mu(tail)
+    tail_nu = nu(tail)
+    tail_ok = tail_mu == ZERO and tail_nu == ZERO
+    if not tail_ok and witness is None:
+        witness = Witness(
+            kind="decomposition-tail",
+            sets=(tail,),
+            values=(tail_mu, tail_nu),
+            detail="the family tail must be null under both measures",
+        )
+
+    return DecompositionReport(
+        holds=holds and tail_ok,
+        witness=witness,
+        tail_set=tail,
+        tail_mu=tail_mu,
+        tail_nu=tail_nu,
+        tail_ok=tail_ok,
+        checked_pairs=len(pairs),
+        checked_sets=n_sets,
+        records=tuple(records),
+    )

@@ -9,7 +9,9 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from choquetrn.cli import EXIT_FAIL, EXIT_INPUT, EXIT_PASS, EXIT_USAGE, main
+from choquetrn.cli import (
+    EXIT_FAIL, EXIT_INPUT, EXIT_PASS, EXIT_USAGE, MAX_N, main,
+)
 
 
 SOLVABLE = {
@@ -241,6 +243,16 @@ class TestArgumentErrors:
         code, _, err = run(capsys, "dyadic", "--input", solvable_path, "--n", n)
         assert code == EXIT_USAGE
         assert "--n" in err
+
+    @pytest.mark.parametrize("command", ["dyadic", "ex-4-4"])
+    def test_depth_above_bound_is_usage_error(self, capsys, solvable_path, command):
+        if command == "dyadic":
+            argv = ["dyadic", "--input", solvable_path]
+        else:
+            argv = ["example", "ex-4-4"]
+        code, out, err = run(capsys, *argv, "--n", str(MAX_N + 1))
+        assert code == EXIT_USAGE
+        assert "--n" in err and out == ""
 
     def test_float_weight_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "float.json"

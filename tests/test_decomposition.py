@@ -30,7 +30,41 @@ from choquetrn import (
     verify_rn,
     zero_measure,
 )
-from support import random_monotone_measure, random_simple_function, random_space
+from support import (
+    all_pairs_decomposition,
+    random_fraction,
+    random_monotone_measure,
+    random_simple_function,
+    random_space,
+)
+
+
+def random_family(space, rng):
+    """A family with random decreasing sets and thresholds and, most of the
+    time, a zero-plus set strictly inside U (sometimes equal to the next set).
+    """
+    nb = space.n_blocks
+    order = list(range(nb))
+    rng.shuffle(order)
+    breakpoints = [(Fraction(0), space.full_set)]
+    mask = space.full_mask
+    alpha = Fraction(0)
+    for b in order[: rng.randrange(1, nb + 1)]:
+        mask &= ~space.blocks[b]
+        alpha += random_fraction(rng, max_num=3) + Fraction(1, 5)
+        breakpoints.append((alpha, space.set_from_mask(mask)))
+    zero_plus = None
+    if rng.random() < 0.8:
+        inner = breakpoints[1][1].mask
+        extra = space.full_mask & ~inner
+        zp = inner
+        for b in range(nb):
+            if space.blocks[b] & extra and rng.random() < 0.5:
+                zp |= space.blocks[b]
+        if zp == space.full_mask:
+            zp = inner
+        zero_plus = space.set_from_mask(zp)
+    return make_family(space, breakpoints, zero_plus=zero_plus)
 
 
 class TestFamilyConstruction:
@@ -229,6 +263,43 @@ class TestCheckDecomposition:
             report = check_decomposition(mu, nu, family)
             assert report.holds, f"failed on f={f}, nu at U={nu(space.full_set)}"
             assert lemma_tail_check(mu, nu, family)
+
+
+class TestAdjacentBands:
+    """The adjacent-band check against the all-pairs oracle."""
+
+    def test_matches_all_pairs_oracle(self):
+        rng = random.Random(27)
+        kinds = {"pass": 0, "fail": 0, "zero_plus": 0}
+        for trial in range(300):
+            space = random_space(rng, 2, 5)
+            if rng.random() < 0.3:
+                blocks = [[a] for a in space.atoms]
+                while len(blocks) > 2 and rng.random() < 0.5:
+                    blocks[0] += blocks.pop()
+                space = build_space(space.atoms, blocks)
+            nu = random_monotone_measure(space, rng)
+            kind = trial % 3
+            if kind == 0:
+                f = random_simple_function(space, rng)
+                mu = indefinite_integral_measure(f, nu)
+                family = family_from_function(f)
+            elif kind == 1:
+                mu = random_monotone_measure(space, rng)
+                family = family_from_function(random_simple_function(space, rng))
+            else:
+                mu = random_monotone_measure(space, rng)
+                family = random_family(space, rng)
+                if family.tail_set.is_empty and rng.random() < 0.5:
+                    mu = indefinite_integral_measure(derive_function(family), nu)
+            if family.zero_plus != space.full_set:
+                kinds["zero_plus"] += 1
+            for detail in (False, True):
+                got = check_decomposition(mu, nu, family, detail=detail)
+                want = all_pairs_decomposition(mu, nu, family, detail=detail)
+                assert got == want, (str(family), detail)
+            kinds["pass" if got.holds else "fail"] += 1
+        assert min(kinds.values()) >= 50, kinds
 
 
 class TestDeriveAndVerify:

@@ -114,6 +114,37 @@ class TestOrderAndHelpers:
         assert ExtReal(1) != -1  # no coercion, so no ValueError either
         assert len({ExtReal(1), 1, Fraction(1)}) == 1
 
+    @given(
+        st.one_of(nonneg_fractions, st.none()),
+        st.one_of(
+            st.fractions(min_value=-100, max_value=100),
+            st.integers(min_value=-100, max_value=100),
+            st.one_of(nonneg_fractions, st.none()).map(ExtReal),
+        ),
+    )
+    def test_order_agrees_with_fractions(self, a, other):
+        """Infinity exceeds every number; numbers, negatives included,
+        compare as Fractions, from either side."""
+        def key(v):
+            if isinstance(v, ExtReal):
+                return (1, 0) if not v.is_finite else (0, v.as_fraction())
+            return (0, Fraction(v))
+
+        x = ExtReal(a)
+        kx, ko = key(x), key(other)
+        assert (x < other) == (kx < ko) == (other > x)
+        assert (x <= other) == (kx <= ko) == (other >= x)
+        assert (x > other) == (kx > ko) == (other < x)
+        assert (x >= other) == (kx >= ko) == (other <= x)
+
+    @pytest.mark.parametrize("other", ["2", "inf", 0.5, None])
+    def test_order_with_other_types_raises(self, other):
+        for x in (ExtReal(1), INF):
+            with pytest.raises(TypeError):
+                x < other
+            with pytest.raises(TypeError):
+                other >= x
+
     def test_as_fraction_raises_on_infinity(self):
         with pytest.raises(OverflowError):
             INF.as_fraction()

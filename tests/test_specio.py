@@ -122,6 +122,12 @@ def test_error_locations():
      "truncations"),
     ({"truncations": {"N_max": 2, "measures": {"mu": 1, "nu": {}}}},
      "truncations.measures.mu"),
+    ({"atoms": ["a"], "family": [{"alpha": 0, "set": ["a"]},
+                                 {"alpha": 0.5, "set": []}]},
+     "family"),
+    ({"truncations": {"N_max": 6.0, "measures": {"mu": {"rule": "max_element"},
+                                                 "nu": {"rule": "max_element"}}}},
+     "truncations"),
 ])
 def test_malformed_entries_are_located(data, location):
     """Wrong types and values in any entry give a located SpecFileError."""
