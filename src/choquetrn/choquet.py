@@ -16,7 +16,7 @@ from typing import Optional
 from .errors import SpaceMismatchError
 from .extreal import ExtReal, INF, ZERO
 from .functions import SimpleFunction
-from .measures import MonotoneMeasure, MonotoneMeasure as _M, measure_from_table
+from .measures import MonotoneMeasure
 from .results import Verdict, Witness
 from .spaces import MeasurableSet
 

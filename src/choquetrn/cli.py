@@ -30,19 +30,19 @@ from .measures import (
     is_weakly_null_additive,
     strongly_abs_continuous,
 )
-from .report import jsonable, render_json, render_text
+from .report import render_json, render_text
 from .sigma_finite import glue_derivative, verify_sigma_finite
 from .solver import classical_rn_check, solve_rn
-from .specio import load_problem, problem_to_dict
+from .specio import MAX_ATOMS, load_problem, problem_to_dict
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 
-# Largest --n for dyadic (n * 2^n grid points) and ex-4-4 (a full power set
-# per truncation level); both grow exponentially in n.
-MAX_N = 16
+# Largest --n for dyadic and ex-4-4: ex-4-4 builds n + 1 points, a full power
+# set per truncation level, so both bounds are one decision.
+MAX_N = MAX_ATOMS - 1
 
 
 class _UsageError(Exception):

@@ -34,6 +34,7 @@ measure lookup per band and measure instead of four per band pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -76,29 +77,11 @@ class DecompositionFamily:
             raise ValueError("alpha must be nonnegative")
         if a == 0:
             return self.sets[0]
-        if len(self.thresholds) > 1 and a < self.thresholds[1]:
-            return self.zero_plus
-        if len(self.thresholds) == 1:
+        if len(self.thresholds) == 1 or a < self.thresholds[1]:
             return self.zero_plus
         i = 0
         for k, t in enumerate(self.thresholds):
             if t <= a:
-                i = k
-        return self.sets[i]
-
-    def at_left(self, alpha) -> MeasurableSet:
-        """The left limit of the family at alpha: lim of family(beta), beta -> alpha-.
-
-        For the level-set family of a function this is exactly {f >= alpha}.
-        """
-        a = Fraction(alpha)
-        if a <= 0:
-            return self.sets[0]
-        if len(self.thresholds) == 1 or a <= self.thresholds[1]:
-            return self.zero_plus
-        i = 1
-        for k, t in enumerate(self.thresholds):
-            if t < a:
                 i = k
         return self.sets[i]
 
@@ -388,25 +371,28 @@ def derive_function(family: DecompositionFamily) -> SimpleFunction:
 
 
 def dyadic_approximant(family: DecompositionFamily, n: int) -> SimpleFunction:
-    """The n-th dyadic approximant 2^-n * sum_{k=1..n 2^n} indicator(family at k/2^n).
+    """The n-th dyadic approximant 2^-n * sum_{k=1..n 2^n} indicator(F(k/2^n-)),
+    where F(alpha-) is the left limit of the family at alpha.
 
-    Family membership at the dyadic grid uses the left limit at_left, which for
-    level-set families agrees with {f >= k/2^n}; this is what makes the
-    approximants reach the derived function exactly once the grid resolves all
-    breakpoints (and keeps the sandwich f^n - 2^-n <= f_n <= f pointwise).
+    Closed form: with g = derive_function(family), the value on an algebra
+    atom is floor(min(g, n) * 2^n) / 2^n = min(floor(g * 2^n), n * 2^n) / 2^n.
+    Proof: the band sets decrease and the band sups 0 = hi_0 < hi_1 < ... <
+    hi_last = inf increase strictly, so a point lies in the bands 0..L and
+    g = hi_L there.  For alpha > 0, F(alpha-) is the set of the first band j
+    with alpha <= hi_j (the zero-plus set on (0, a_1], A_i on (a_i, a_{i+1}],
+    A_m beyond a_m), and the point lies in it iff L >= j iff alpha <= g.  So
+    the point is counted at exactly the k <= n 2^n with k/2^n <= g.  Hence
+    min(g, n) - 2^-n <= f_n <= g pointwise, with f_n = g wherever g <= n and
+    2^n g is an integer.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    space = family.space
-    counts = [0] * space.n_blocks
     denom = 1 << n
-    for k in range(1, n * denom + 1):
-        S = family.at_left(Fraction(k, denom))
-        for i in range(space.n_blocks):
-            if space.blocks[i] & S.mask == space.blocks[i]:
-                counts[i] += 1
-    values = tuple(ExtReal(Fraction(c, denom)) for c in counts)
-    return SimpleFunction(space, values)
+    values = tuple(
+        ExtReal(Fraction(math.floor(v.as_fraction() * denom), denom))
+        for v in derive_function(family).cap(n).values
+    )
+    return SimpleFunction(family.space, values)
 
 
 # -- Radon-Nikodym verification ----------------------------------------------

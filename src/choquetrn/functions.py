@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .errors import SpaceMismatchError
 from .extreal import ExtReal, INF, ZERO
 from .measures import MonotoneMeasure
-from .results import Verdict, Witness
 from .spaces import MeasurableSet, MeasurableSpace
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence
 
 from .choquet import choquet_value
 from .decomposition import (
@@ -27,7 +27,6 @@ from .measures import (
     MonotoneMeasure,
     additive_measure,
     cardinality_measure,
-    make_measure,
     max_weight_measure,
     measure_from_table,
 )

@@ -41,7 +41,6 @@ from fractions import Fraction
 from math import factorial
 from typing import List, Optional, Tuple
 
-from .choquet import choquet_value, indefinite_integral_measure
 from .decomposition import (
     DecompositionFamily,
     DecompositionReport,

@@ -48,6 +48,10 @@ class ProblemSpec:
     raw: dict = field(default_factory=dict)
 
 
+# most algebra atoms (and truncation points) a problem may have, since every
+# measure is materialized on its power set: the deepest ``example ex-4-4``
+MAX_ATOMS = 17
+
 # what building the library objects raises on malformed entries
 _MALFORMED = (ValueError, KeyError, TypeError, ZeroDivisionError, ChoquetRnError)
 
@@ -86,6 +90,8 @@ def parse_problem(data: dict) -> ProblemSpec:
     try:
         if "atoms" in data:
             spec.space = build_space(data["atoms"], data.get("partition"))
+            if spec.space.n_blocks > MAX_ATOMS:
+                raise ValueError(f"more than {MAX_ATOMS} algebra atoms")
     except _MALFORMED as exc:
         raise SpecFileError(str(exc), location="atoms/partition") from exc
 
@@ -125,9 +131,11 @@ def parse_problem(data: dict) -> ProblemSpec:
             n_max = block.get("N_max")
             atoms = block.get("atoms")
             depths = block.get("depths")
+            if atoms is None and n_max is None:
+                raise ValueError("truncations need 'atoms' or 'N_max'")
+            if (int(n_max) + 1 if atoms is None else len(atoms)) > MAX_ATOMS:
+                raise ValueError(f"more than {MAX_ATOMS} atoms in the universe")
             if atoms is None:
-                if n_max is None:
-                    raise ValueError("truncations need 'atoms' or 'N_max'")
                 atoms = [str(k) for k in range(int(n_max) + 1)]
                 depths = [n + 1 for n in range(1, int(n_max) + 1)]
             rules = _object(block["measures"], "truncations.measures")

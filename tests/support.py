@@ -6,7 +6,10 @@ agreement between the two is a real cross-check, not a tautology.  The
 solver oracle tries every maximal chain without pruning, so it checks that
 the library's prefix pruning never skips a feasible chain.  The
 decomposition oracle tests every ordered band pair on every set, so it checks
-that deciding each set from its adjacent band pairs loses nothing.
+that deciding each set from its adjacent band pairs loses nothing.  The
+dyadic, null-additivity and strong absolute continuity oracles are the
+direct loops over the definitions (the grid of dyadic left limits, all pairs
+of sets, every set per epsilon) that the library's closed forms replace.
 """
 
 from fractions import Fraction
@@ -18,6 +21,8 @@ from choquetrn import (
     MeasurableSet,
     MonotoneMeasure,
     SimpleFunction,
+    Verdict,
+    Witness,
     ZERO,
     additive_measure,
     build_space,
@@ -25,13 +30,20 @@ from choquetrn import (
     verify_rn,
 )
 from choquetrn.decomposition import DecompositionReport, PairRecord
-from choquetrn.results import Witness
 from choquetrn.solver import _solve_chain_system
 
 
 def random_space(rng, min_atoms=2, max_atoms=5):
     n = rng.randrange(min_atoms, max_atoms + 1)
     return build_space([f"x{i}" for i in range(n)])
+
+
+def coarsened(space, rng):
+    """The space's atoms under a random coarser partition, at least two blocks."""
+    blocks = [[a] for a in space.atoms]
+    while len(blocks) > 2 and rng.random() < 0.5:
+        blocks[0] += blocks.pop()
+    return build_space(space.atoms, blocks)
 
 
 def random_fraction(rng, max_num=4, denominators=(1, 2, 3, 4)):
@@ -63,6 +75,21 @@ def random_monotone_measure(space, rng, max_step=3, denominators=(1, 2, 3, 4)):
         values[mask] = base + step
     table = {
         MeasurableSet(space, m): v for m, v in values.items()
+    }
+    return measure_from_table(space, table)
+
+
+def null_heavy_measure(space, rng):
+    """A monotone measure with many null sets: a random measure whose
+    increments vanish half the time, read on A minus a random set of blocks
+    (every subset of which is therefore null)."""
+    base = random_monotone_measure(space, rng, max_step=1)
+    hidden = 0
+    for block in space.blocks:
+        if rng.random() < 0.3:
+            hidden |= block
+    table = {
+        A: base.value_of_mask(A.mask & ~hidden) for A in space.subsets()
     }
     return measure_from_table(space, table)
 
@@ -250,3 +277,82 @@ def all_pairs_decomposition(mu, nu, family, detail=False):
         checked_sets=n_sets,
         records=tuple(records),
     )
+
+
+def left_limit(family, alpha):
+    """The left limit of the family at alpha: lim of family(beta), beta -> alpha-.
+
+    For the level-set family of a function this is exactly {f >= alpha}.
+    """
+    a = Fraction(alpha)
+    if a <= 0:
+        return family.sets[0]
+    if len(family.thresholds) == 1 or a <= family.thresholds[1]:
+        return family.zero_plus
+    i = 1
+    for k, t in enumerate(family.thresholds):
+        if t < a:
+            i = k
+    return family.sets[i]
+
+
+def grid_dyadic_approximant(family, n):
+    """2^-n * sum_{k=1..n 2^n} indicator(left limit of the family at k/2^n),
+    walking the whole dyadic grid."""
+    space = family.space
+    counts = [0] * space.n_blocks
+    denom = 1 << n
+    for k in range(1, n * denom + 1):
+        S = left_limit(family, Fraction(k, denom))
+        for i in range(space.n_blocks):
+            if space.blocks[i] & S.mask == space.blocks[i]:
+                counts[i] += 1
+    values = tuple(ExtReal(Fraction(c, denom)) for c in counts)
+    return SimpleFunction(space, values)
+
+
+def pairwise_null_additivity(m):
+    """(weak, plain) null-additivity verdicts from every pair of a null set
+    with a null set, and of any set with a null set, first failure kept."""
+    nulls = list(m.null_sets())
+    weak = next(
+        (Witness("weak-null-additivity", (A1, A2, A1 | A2), (ZERO, ZERO, m(A1 | A2)))
+         for A1 in nulls for A2 in nulls if m(A1 | A2) != ZERO),
+        None,
+    )
+    null = next(
+        (Witness("null-additivity", (A, N, A | N), (m(A), ZERO, m(A | N)))
+         for A in m.space.subsets() for N in nulls if m(A | N) != m(A)),
+        None,
+    )
+    return (Verdict(holds=weak is None, witness=weak),
+            Verdict(holds=null is None, witness=null))
+
+
+def scan_strong_abs_continuity(mu, nu):
+    """The epsilon-delta modulus table by scanning every set for every
+    distinct positive mu value, with the library's witness choice."""
+    eps_values = sorted(
+        {mu(A) for A in mu.space.subsets() if mu(A) != ZERO},
+        key=lambda v: v.as_fraction(),
+    )
+    table = []
+    holds = True
+    witness = None
+    for eps in eps_values:
+        candidates = [nu(A) for A in mu.space.subsets() if mu(A) >= eps]
+        delta = candidates[0]
+        best_set = None
+        for A in mu.space.subsets():
+            if mu(A) >= eps and nu(A) <= delta:
+                delta = nu(A)
+                best_set = A
+        table.append((eps, delta))
+        if delta == ZERO and holds:
+            holds = False
+            witness = Witness(
+                kind="strong-absolute-continuity",
+                sets=(best_set,),
+                values=(eps, delta),
+            )
+    return Verdict(holds=holds, witness=witness, table=tuple(table))

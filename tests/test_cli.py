@@ -95,6 +95,21 @@ class TestExitStatuses:
         assert code == EXIT_INPUT
 
 
+    @pytest.mark.parametrize("command, problem", [
+        ("props", {"atoms": [f"x{k}" for k in range(40)],
+                   "measures": {"nu": {"rule": "cardinality"}}}),
+        ("sigma-finite", {"truncations": {
+            "N_max": 40, "measures": {"mu": {"rule": "cardinality"},
+                                      "nu": {"rule": "cardinality"}}}}),
+    ], ids=["40-atoms", "N_max-40"])
+    def test_oversized_problem_is_three(self, capsys, tmp_path, command, problem):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(problem))
+        code, _, err = run(capsys, command, "--input", str(path))
+        assert code == EXIT_INPUT
+        assert "more than 17" in err
+
+
 class TestCommands:
     def test_props(self, capsys, solvable_path):
         code, out, _ = run(capsys, "props", "--input", solvable_path)

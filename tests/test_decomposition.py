@@ -11,6 +11,7 @@ from choquetrn import (
     INF,
     InvalidFamilyError,
     PreconditionError,
+    SimpleFunction,
     ZERO,
     build_space,
     check_decomposition,
@@ -32,6 +33,9 @@ from choquetrn import (
 )
 from support import (
     all_pairs_decomposition,
+    coarsened,
+    grid_dyadic_approximant,
+    left_limit,
     random_fraction,
     random_monotone_measure,
     random_simple_function,
@@ -127,9 +131,9 @@ class TestFamilyConstruction:
         assert family.at(0).is_full
         assert family.at(Fraction(1, 7)).atom_names() == ("a",)
         # left limits realize the closed level sets {f >= alpha}
-        assert family.at_left(1) == f.level_set(1)
-        assert family.at_left(Fraction(1, 2)).atom_names() == ("a",)
-        assert family.at_left(0).is_full
+        assert left_limit(family, 1) == f.level_set(1)
+        assert left_limit(family, Fraction(1, 2)).atom_names() == ("a",)
+        assert left_limit(family, 0).is_full
 
 
 class TestRoundTrip:
@@ -155,7 +159,7 @@ class TestRoundTrip:
             family = family_from_function(f)
             for k in range(25):
                 alpha = Fraction(k, rng.choice([1, 2, 3, 4]))
-                assert family.at_left(alpha) == f.level_set(alpha)
+                assert left_limit(family, alpha) == f.level_set(alpha)
                 if alpha > 0:
                     assert family.at(alpha) == f.level_set(alpha, strict=True) \
                         or family.at(alpha) == f.level_set(alpha)
@@ -274,10 +278,7 @@ class TestAdjacentBands:
         for trial in range(300):
             space = random_space(rng, 2, 5)
             if rng.random() < 0.3:
-                blocks = [[a] for a in space.atoms]
-                while len(blocks) > 2 and rng.random() < 0.5:
-                    blocks[0] += blocks.pop()
-                space = build_space(space.atoms, blocks)
+                space = coarsened(space, rng)
             nu = random_monotone_measure(space, rng)
             kind = trial % 3
             if kind == 0:
@@ -365,6 +366,38 @@ class TestDyadicApproximants:
                     assert w <= v
                     capped = v if v <= ExtReal(n) else ExtReal(n)
                     assert capped <= w + eps
+
+    def test_matches_grid_oracle(self):
+        rng = random.Random(29)
+        kinds = {"level_sets": 0, "zero_plus": 0, "infinite": 0, "partitioned": 0}
+        for trial in range(200):
+            space = random_space(rng, 2, 5)
+            if rng.random() < 0.6:
+                space = coarsened(space, rng)
+            kind = trial % 3
+            if kind == 0:
+                f = random_simple_function(space, rng)
+                values = tuple(INF if rng.random() < 0.2 else v for v in f.values)
+                family = family_from_function(SimpleFunction(space, values))
+                kinds["level_sets"] += 1
+            elif kind == 1:
+                family = random_family(space, rng)
+            else:
+                # one breakpoint: infinite on the zero-plus set, 0 elsewhere
+                zero_plus = 0
+                for block in space.blocks:
+                    if rng.random() < 0.5:
+                        zero_plus |= block
+                family = make_family(space, [(0, space.full_set)],
+                                     zero_plus=space.set_from_mask(zero_plus))
+            kinds["zero_plus"] += family.zero_plus != space.full_set
+            kinds["infinite"] += not family.tail_set.is_empty
+            kinds["partitioned"] += not space.is_power_set
+            for n in range(1, 7):
+                assert dyadic_approximant(family, n) == grid_dyadic_approximant(
+                    family, n
+                ), (str(family), n)
+        assert min(kinds.values()) >= 25, kinds
 
     def test_exact_once_grid_resolves(self):
         rng = random.Random(26)

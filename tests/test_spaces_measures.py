@@ -1,11 +1,13 @@
 """Spaces, measurable sets, monotone measures and the classifiers."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from choquetrn import (
     ExtReal,
+    INF,
     InvalidFamilyError,
     InvalidMeasureError,
     ZERO,
@@ -22,6 +24,14 @@ from choquetrn import (
     measure_from_table,
     strongly_abs_continuous,
     zero_measure,
+)
+from support import (
+    coarsened,
+    null_heavy_measure,
+    pairwise_null_additivity,
+    random_monotone_measure,
+    random_space,
+    scan_strong_abs_continuity,
 )
 
 
@@ -222,3 +232,66 @@ class TestClassifiers:
             assert abs_continuous(mu, nu).holds == strongly_abs_continuous(
                 mu, nu
             ).holds
+
+
+class TestClosedFormClassifiers:
+    """The O(2^n) classifiers against the pairwise and per-epsilon scans."""
+
+    @staticmethod
+    def random_measure(rng):
+        space = random_space(rng, 2, 5)
+        if rng.random() < 0.3:
+            space = coarsened(space, rng)
+        build = null_heavy_measure if rng.random() < 0.6 else random_monotone_measure
+        return build(space, rng)
+
+    def test_null_additivity_matches_pairwise_oracle(self):
+        rng = random.Random(31)
+        outcomes = {(True, True): 0, (True, False): 0, (False, False): 0}
+        for _ in range(300):
+            m = self.random_measure(rng)
+            want_weak, want_null = pairwise_null_additivity(m)
+            weak, null = is_weakly_null_additive(m), is_null_additive(m)
+            assert (weak.holds, null.holds) == (want_weak.holds, want_null.holds)
+            assert has_property_sigma(m).holds == weak.holds
+            outcomes[weak.holds, null.holds] += 1
+            if weak.holds:
+                assert weak.witness is None
+            else:
+                A1, A2, union = weak.witness.sets
+                assert weak.witness.kind == "weak-null-additivity"
+                assert union == A1 | A2
+                assert weak.witness.values == (m(A1), m(A2), m(union))
+                assert m(A1) == ZERO and m(A2) == ZERO and m(union) != ZERO
+            if null.holds:
+                assert null.witness is None
+            else:
+                A, N, union = null.witness.sets
+                assert null.witness.kind == "null-additivity"
+                assert union == A | N
+                assert null.witness.values == (m(A), m(N), m(union))
+                assert m(N) == ZERO and m(union) != m(A)
+        assert min(outcomes.values()) >= 30, outcomes
+
+    def test_strong_abs_continuity_matches_scan_oracle(self):
+        rng = random.Random(32)
+        outcomes = {True: 0, False: 0, "infinite_nu": 0}
+        for _ in range(300):
+            mu = self.random_measure(rng)
+            nu = random_monotone_measure(mu.space, rng, max_step=1)
+            if rng.random() < 0.3:
+                # values above half the total become infinite: still monotone
+                cut = nu(mu.space.full_set) * ExtReal(Fraction(1, 2))
+                nu = measure_from_table(
+                    mu.space,
+                    {A: INF if nu(A) > cut else nu(A) for A in mu.space.subsets()},
+                )
+                outcomes["infinite_nu"] += not nu.is_finite
+            verdict = strongly_abs_continuous(mu, nu)
+            assert verdict == scan_strong_abs_continuity(mu, nu)
+            outcomes[verdict.holds] += 1
+            if not verdict.holds:
+                (A,) = verdict.witness.sets
+                eps, delta = verdict.witness.values
+                assert mu(A) >= eps > ZERO and nu(A) == delta == ZERO
+        assert min(outcomes.values()) >= 30, outcomes

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from choquetrn import SpecFileError, load_problem, parse_problem, problem_to_dict
+from choquetrn.specio import MAX_ATOMS
 
 
 BASIC = {
@@ -128,6 +129,16 @@ def test_error_locations():
     ({"truncations": {"N_max": 6.0, "measures": {"mu": {"rule": "max_element"},
                                                  "nu": {"rule": "max_element"}}}},
      "truncations"),
+    ({"atoms": [str(k) for k in range(MAX_ATOMS + 1)],
+      "measures": {"m": {"rule": "cardinality"}}},
+     "atoms/partition"),
+    ({"truncations": {"N_max": MAX_ATOMS, "measures": {"mu": {"rule": "max_element"},
+                                                       "nu": {"rule": "cardinality"}}}},
+     "truncations"),
+    ({"truncations": {"atoms": [str(k) for k in range(MAX_ATOMS + 1)], "depths": [1],
+                      "measures": {"mu": {"rule": "max_element"},
+                                   "nu": {"rule": "cardinality"}}}},
+     "truncations"),
 ])
 def test_malformed_entries_are_located(data, location):
     """Wrong types and values in any entry give a located SpecFileError."""
@@ -166,3 +177,16 @@ def test_load_problem_reads_files(tmp_path):
     path.write_text(json.dumps(BASIC))
     spec = load_problem(str(path))
     assert spec.space.atoms == ("a", "b")
+
+
+def test_atom_bound_counts_algebra_atoms():
+    # the bound is on algebra atoms, the measures' power-set exponent
+    names = [f"x{k}" for k in range(40)]
+    spec = parse_problem({
+        "atoms": names,
+        "partition": [names[:20], names[20:]],
+        "measures": {"m": {"rule": "cardinality"}},
+    })
+    assert spec.space.n_blocks == 2
+    spec = parse_problem({"atoms": names[:MAX_ATOMS]})
+    assert spec.space.n_blocks == MAX_ATOMS
