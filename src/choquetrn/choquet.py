@@ -6,6 +6,11 @@ simple integrand that map is a step function, so the improper Riemann integral
 reduces to a finite sum over the distinct values of f: each layer contributes
 (t_k - t_{k-1}) * nu({f >= t_k} & A).  An atom where f is infinite contributes
 inf * nu({f = inf} & A), which is 0 on a nu-null set (0 * inf = 0).
+
+The layers come from one pass over the blocks inside A, one sort of the
+distinct finite nonzero values and a running union from the top threshold
+down, so an integral over m thresholds costs O(n + m log m) mask operations
+and m table reads instead of a level-set scan per threshold.
 """
 
 from __future__ import annotations
@@ -39,7 +44,14 @@ def choquet_integral(
     nu: MonotoneMeasure,
     A: Optional[MeasurableSet] = None,
 ) -> IntegralBreakdown:
-    """Exact Choquet integral of f w.r.t. nu over A (default: the whole space)."""
+    """Exact Choquet integral of f w.r.t. nu over A (default: the whole space).
+
+    The block masks inside A are grouped by value of f, the distinct finite
+    nonzero values are sorted once, and the layer {f >= t_k} & A is the
+    running union of the groups from the top threshold down to t_k, started
+    from the infinite blocks, which lie in every layer.  Zero blocks lie in
+    none.
+    """
     space = f.space
     if nu.space != space:
         raise SpaceMismatchError("function and measure live on different spaces")
@@ -48,41 +60,46 @@ def choquet_integral(
     elif A.space != space:
         raise SpaceMismatchError("integration set lives on a different space")
 
-    present = {
-        f.values[i]
-        for i in range(space.n_blocks)
-        if space.blocks[i] & A.mask
-    }
-    thresholds = sorted(
-        (v for v in present if v.is_finite and v != ZERO),
-        key=lambda v: v.as_fraction(),
-    )
+    by_value = {}
+    inf_mask = 0
+    for block, v in zip(space.blocks, f.values):
+        part = block & A.mask
+        if not part:
+            continue
+        if not v.is_finite:
+            inf_mask |= part
+        elif v:
+            by_value[v] = by_value.get(v, 0) | part
+    thresholds = sorted(by_value, key=ExtReal.as_fraction)
 
-    layer_sets = []
+    layer_masks = []
+    running = inf_mask
+    for t in reversed(thresholds):
+        running |= by_value[t]
+        layer_masks.append(running)
+    layer_masks.reverse()
+
     layer_measures = []
     contributions = []
     total = ZERO
     prev = ZERO
-    for t in thresholds:
-        layer = f.level_set(t) & A
-        m = nu(layer)
+    for t, mask in zip(thresholds, layer_masks):
+        m = nu.value_of_mask(mask)
         c = (t - prev) * m
-        layer_sets.append(layer)
         layer_measures.append(m)
         contributions.append(c)
         total = total + c
         prev = t
 
-    inf_set = f.infinity_set & A
-    inf_contribution = ZERO if inf_set.is_empty else INF * nu(inf_set)
+    inf_contribution = ZERO if not inf_mask else INF * nu.value_of_mask(inf_mask)
     total = total + inf_contribution
 
     return IntegralBreakdown(
         thresholds=tuple(thresholds),
-        layer_sets=tuple(layer_sets),
+        layer_sets=tuple(MeasurableSet(space, mask) for mask in layer_masks),
         layer_measures=tuple(layer_measures),
         contributions=tuple(contributions),
-        infinite_set=inf_set,
+        infinite_set=MeasurableSet(space, inf_mask),
         infinite_contribution=inf_contribution,
         total=total,
     )

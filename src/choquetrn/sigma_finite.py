@@ -20,7 +20,7 @@ from .decomposition import (
     derive_function,
     family_from_function,
 )
-from .errors import PreconditionError
+from .errors import PreconditionError, SpaceMismatchError
 from .extreal import ExtReal, ZERO
 from .functions import SimpleFunction, function_from_values
 from .measures import (
@@ -284,7 +284,11 @@ def verify_sigma_finite(
     test_sets: Optional[Sequence[MeasurableSet]] = None,
 ) -> SigmaFiniteReport:
     """Check mu(A & U_n) = integral of f over A & U_n at every level, and
-    that both sides are nondecreasing in n (the truncated limit mechanism)."""
+    that both sides are nondecreasing in n (the truncated limit mechanism).
+
+    Test sets must live on the deepest truncation.  Many test sets meet U_n
+    in the same set, so f is restricted once per level and the integral is
+    computed once per distinct truncated set A & U_n and reused."""
     deepest = model.deepest
     if f.space != deepest:
         raise PreconditionError("f must live on the deepest truncation")
@@ -294,16 +298,26 @@ def verify_sigma_finite(
         else:
             test_sets = _polynomial_test_sets(deepest)
 
+    levels = range(len(model.depths))
+    functions = [model.restrict_function(f, level) for level in levels]
+    integrals = [{} for _ in levels]  # per level: truncated mask -> integral
     records = []
     holds = True
     for A in test_sets:
+        if A.space != deepest:
+            raise SpaceMismatchError("test sets must live on the deepest truncation")
         mu_vals = []
         int_vals = []
-        for level in range(len(model.depths)):
+        for level in levels:
             A_n = model.restrict_set(A, level)
-            f_n = model.restrict_function(f, level)
             mu_vals.append(model.mus[level](A_n))
-            int_vals.append(choquet_value(f_n, model.nus[level], A_n))
+            known = integrals[level]
+            value = known.get(A_n.mask)
+            if value is None:
+                value = known[A_n.mask] = choquet_value(
+                    functions[level], model.nus[level], A_n
+                )
+            int_vals.append(value)
         equal = all(a == b for a, b in zip(mu_vals, int_vals))
         nondecreasing = all(
             x <= y for x, y in zip(mu_vals, mu_vals[1:])

@@ -30,7 +30,7 @@ from .decomposition import DecompositionFamily, make_family
 from .errors import ChoquetRnError, SpecFileError
 from .functions import SimpleFunction, function_from_values
 from .measures import MonotoneMeasure, make_measure
-from .sigma_finite import TruncationModel, make_truncation_model
+from .sigma_finite import TruncationModel, make_truncation_model, threshold_tail_family
 from .spaces import MeasurableSpace, build_space
 
 
@@ -53,7 +53,9 @@ class ProblemSpec:
 MAX_ATOMS = 17
 
 # what building the library objects raises on malformed entries
-_MALFORMED = (ValueError, KeyError, TypeError, ZeroDivisionError, ChoquetRnError)
+_MALFORMED = (
+    ValueError, KeyError, IndexError, TypeError, ZeroDivisionError, ChoquetRnError,
+)
 
 
 def _object(value, location: str) -> dict:
@@ -145,7 +147,15 @@ def parse_problem(data: dict) -> ProblemSpec:
                 nu_rule=_object(rules["nu"], "truncations.measures.nu"),
                 depths=depths,
             )
-            spec.family_generator = block.get("family", "threshold_tail")
+            family = block.get("family", "threshold_tail")
+            if family not in ("threshold_tail", {"rule": "threshold_tail"}):
+                raise ValueError(
+                    f"unknown family {family!r}; the truncation family is "
+                    "'threshold_tail'"
+                )
+            # the family's thresholds are the atom names
+            threshold_tail_family(spec.model.deepest)
+            spec.family_generator = family
             spec.n_max = n_max
         except SpecFileError:
             raise

@@ -2,6 +2,7 @@
 properties, comonotonic additivity and oracle agreement."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,10 @@ from choquetrn import (
 )
 from support import (
     choquet_oracle,
+    coarsened,
+    infinite_measure,
+    level_set_choquet_integral,
+    null_heavy_measure,
     random_monotone_measure,
     random_simple_function,
     random_space,
@@ -194,6 +199,52 @@ class TestOracleAgreement:
             f = SimpleFunction(space, tuple(vals))
             A = list(space.subsets())[rng.randrange(space.n_subsets())]
             assert choquet_value(f, nu, A) == choquet_oracle(f, nu, A)
+
+
+class TestOneSortLayerCake:
+    """The one-sort running-union layers against the level-set oracle."""
+
+    # ties, zeros and infinity, so layers share values and skip blocks
+    POOL = (ZERO, ZERO, ExtReal(Fraction(1, 2)), ExtReal(1), ExtReal(1),
+            ExtReal(2), ExtReal(Fraction(7, 3)), INF)
+
+    def test_matches_level_set_oracle_on_every_set(self):
+        from choquetrn import SimpleFunction
+
+        rng = random.Random(2024)
+        seen = Counter()
+        for trial in range(240):
+            space = random_space(rng, 2, 5)
+            if trial % 2:
+                space = coarsened(space, rng)
+                seen["coarsened"] += 1
+            kind = trial % 3
+            if kind == 0:
+                nu = random_monotone_measure(space, rng)
+            elif kind == 1:
+                nu = null_heavy_measure(space, rng)
+            else:
+                nu = infinite_measure(space, rng)
+            f = SimpleFunction(
+                space, tuple(rng.choice(self.POOL) for _ in range(space.n_blocks))
+            )
+            for A in space.subsets():
+                got = choquet_integral(f, nu, A)
+                assert got == level_set_choquet_integral(f, nu, A)
+                inside = [v for v, b in zip(f.values, space.blocks) if b & A.mask]
+                finite = [v for v in inside if v.is_finite and v != ZERO]
+                seen["tie"] += len(finite) > len(set(finite))
+                seen["zero"] += ZERO in inside
+                seen["inf"] += INF in inside
+                seen["null layer"] += ZERO in got.layer_measures
+                seen["infinite layer"] += INF in got.layer_measures
+                seen["inf on null"] += (
+                    not got.infinite_set.is_empty and got.infinite_contribution == ZERO
+                )
+            assert choquet_integral(f, nu) == level_set_choquet_integral(f, nu)
+        for key in ("tie", "zero", "inf", "null layer", "infinite layer", "inf on null"):
+            assert seen[key] >= 100, (key, seen)
+        assert seen["coarsened"] == 120
 
 
 def test_indefinite_integral_is_a_monotone_measure():

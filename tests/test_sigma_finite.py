@@ -1,13 +1,17 @@
 """Truncation models, gluing and truncated-limit verification."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from choquetrn import (
     PreconditionError,
+    SpaceMismatchError,
     ZERO,
     build_space,
+    choquet_value,
     fixture_f4,
     function_from_values,
     glue_derivative,
@@ -15,10 +19,13 @@ from choquetrn import (
     threshold_tail_family,
     verify_sigma_finite,
 )
+from choquetrn import sigma_finite
 from choquetrn.sigma_finite import (
+    _EXHAUSTIVE_LIMIT,
     _polynomial_test_sets,
     resolve_family_generator,
 )
+from support import default_sigma_test_sets, per_level_sigma_finite
 
 
 class TestModelConstruction:
@@ -182,3 +189,115 @@ class TestVerify:
         assert len(masks) > 2 * len(space.atoms)
         for A in sets:
             assert A.mask & ~space.full_mask == 0
+
+
+def _additive_model(n_atoms, depths, weights):
+    """mu = sum of i * w_i, nu = sum of w_i: the density is f(i) = i."""
+    return make_truncation_model(
+        [str(i) for i in range(n_atoms)],
+        {"rule": "additive_sequence", "weights": [i * w for i, w in enumerate(weights)]},
+        {"rule": "additive_sequence", "weights": list(weights)},
+        depths=depths,
+    )
+
+
+def _explicit_model():
+    """Explicit tables per level: mu = max element, nu = |A|^2 / 4 (not
+    additive), both read only from the set, so the levels agree."""
+    atoms = ["0", "1", "2", "3"]
+    depths = [2, 3, 4]
+
+    def tables(value):
+        out = []
+        for depth in depths:
+            space = build_space(atoms[:depth])
+            out.append([{"set": list(A.atom_names()), "value": value(A)}
+                        for A in space.subsets()])
+        return out
+
+    return make_truncation_model(
+        atoms,
+        {"rule": "explicit",
+         "tables": tables(lambda A: max((int(a) for a in A.atom_names()), default=0))},
+        {"rule": "explicit", "tables": tables(lambda A: Fraction(len(A) ** 2, 4))},
+        depths=depths,
+    )
+
+
+def _sigma_cases():
+    """(label, model, f): passing and failing verifications of every kind."""
+    for n in range(4, 9):
+        model = fixture_f4(n)
+        yield f"f4-{n}", model, glue_derivative(model, "threshold_tail").function
+    rng = random.Random(31)
+    for n_atoms in (4, 6, 7):
+        weights = [Fraction(rng.randrange(0, 4), rng.choice((1, 2, 3)))
+                   for _ in range(n_atoms)]
+        model = _additive_model(n_atoms, list(range(1, n_atoms + 1)), weights)
+        f = glue_derivative(model, "threshold_tail").per_truncation[-1].function
+        yield f"additive-{n_atoms}", model, f
+        wrong = function_from_values(
+            model.deepest, {a: Fraction(a) + 1 for a in model.deepest.atoms}
+        )
+        yield f"additive-{n_atoms}-wrong", model, wrong
+    for n_max, (mu_scale, nu_scale) in ((5, ("5/2", "4/3")), (6, ("4/3", "5/2"))):
+        model = make_truncation_model(
+            [str(k) for k in range(n_max + 1)],
+            {"rule": "cardinality", "scale": mu_scale},
+            {"rule": "cardinality", "scale": nu_scale},
+            depths=[k + 1 for k in range(1, n_max + 1)],
+        )
+        glue = glue_derivative(model, "threshold_tail")
+        assert not glue.holds
+        yield f"cardinality-{n_max}", model, glue.per_truncation[-1].function
+    model = _explicit_model()
+    yield "explicit", model, glue_derivative(model, "threshold_tail").per_truncation[-1].function
+    deep = _additive_model(14, [3, 8, 14], [Fraction(1 + i % 3, 2) for i in range(14)])
+    assert deep.deepest.n_blocks > _EXHAUSTIVE_LIMIT
+    yield "deep", deep, glue_derivative(deep, "threshold_tail").function
+
+
+class TestDistinctTruncatedSets:
+    """One integral per distinct (level, A & U_level) against the per-level loop."""
+
+    def test_matches_per_level_oracle_and_counts_distinct_sets(self, monkeypatch):
+        calls = []
+
+        def counted(f, nu, A=None):
+            calls.append((f.space, A.mask))
+            return choquet_value(f, nu, A)
+
+        monkeypatch.setattr(sigma_finite, "choquet_value", counted)
+        outcomes = Counter()
+        for label, model, f in _sigma_cases():
+            calls.clear()
+            report = verify_sigma_finite(model, f)
+            assert report == per_level_sigma_finite(model, f), label
+            distinct = {
+                (level, model.restrict_set(A, level).mask)
+                for A in default_sigma_test_sets(model)
+                for level in range(len(model.depths))
+            }
+            assert len(calls) == len(distinct), label
+            assert len(set(calls)) == len(calls), label
+            outcomes[report.holds] += 1
+        assert outcomes[True] >= 6 and outcomes[False] >= 4, outcomes
+
+    def test_given_test_sets_match_the_oracle(self):
+        model = fixture_f4(5)
+        f = glue_derivative(model, "threshold_tail").function
+        sets = [model.deepest.make_set(["1", "4"]), model.deepest.empty_set,
+                model.deepest.make_set(["1", "4"]), model.deepest.full_set]
+        report = verify_sigma_finite(model, f, sets)
+        assert report == per_level_sigma_finite(model, f, sets)
+        assert [r.set for r in report.records] == sets
+
+    def test_test_sets_must_live_on_the_deepest_truncation(self):
+        model = fixture_f4(4)
+        f = glue_derivative(model, "threshold_tail").function
+        foreign = build_space(["a", "b", "c", "d", "e"])
+        assert foreign.n_blocks == model.deepest.n_blocks
+        with pytest.raises(SpaceMismatchError):
+            verify_sigma_finite(model, f, [foreign.full_set])
+        with pytest.raises(SpaceMismatchError):
+            verify_sigma_finite(model, f, [model.deepest.full_set, model.spaces[0].full_set])

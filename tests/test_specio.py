@@ -82,6 +82,8 @@ def test_truncation_block():
     assert spec.model.deepest.atoms == ("0", "1", "2", "3", "4")
     assert spec.family_generator == "threshold_tail"
     assert spec.n_max == 4
+    data["truncations"]["family"] = {"rule": "threshold_tail"}
+    assert parse_problem(data).family_generator == {"rule": "threshold_tail"}
 
 
 def test_error_locations():
@@ -138,6 +140,24 @@ def test_error_locations():
     ({"truncations": {"atoms": [str(k) for k in range(MAX_ATOMS + 1)], "depths": [1],
                       "measures": {"mu": {"rule": "max_element"},
                                    "nu": {"rule": "cardinality"}}}},
+     "truncations"),
+    # fewer explicit tables than levels, fewer weights than atoms
+    ({"truncations": {"atoms": ["0", "1"], "depths": [1, 2], "measures": {
+        "mu": {"rule": "explicit", "tables": [[{"set": [], "value": "0"},
+                                               {"set": ["0"], "value": "1"}]]},
+        "nu": {"rule": "cardinality"}}}},
+     "truncations"),
+    ({"truncations": {"N_max": 3, "measures": {
+        "mu": {"rule": "additive_sequence", "weights": ["1", "2"]},
+        "nu": {"rule": "cardinality"}}}},
+     "truncations"),
+    # the truncation family is the threshold tail, whose thresholds are the
+    # atom names
+    ({"truncations": {"N_max": 3, "family": [1, 2], "measures": {
+        "mu": {"rule": "cardinality"}, "nu": {"rule": "cardinality"}}}},
+     "truncations"),
+    ({"truncations": {"atoms": ["a", "b"], "measures": {
+        "mu": {"rule": "cardinality"}, "nu": {"rule": "cardinality"}}}},
      "truncations"),
 ])
 def test_malformed_entries_are_located(data, location):
