@@ -257,7 +257,7 @@ def _run_command(args) -> dict:
     elif args.command == "sigma-finite":
         if spec.model is None:
             raise SpecFileError("the input file has no truncation model")
-        glue = glue_derivative(spec.model, spec.family_generator)
+        glue = glue_derivative(spec.model, "threshold_tail")
         v["glue"] = glue.holds
         v["finite_ae"] = glue.finite_ae
         if glue.function is not None:

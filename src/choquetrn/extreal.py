@@ -49,10 +49,6 @@ class ExtReal:
     def is_finite(self) -> bool:
         return self._frac is not None
 
-    @property
-    def is_zero(self) -> bool:
-        return self._frac == 0
-
     def as_fraction(self) -> Fraction:
         if self._frac is None:
             raise OverflowError("value is infinite")

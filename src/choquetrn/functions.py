@@ -28,9 +28,6 @@ class SimpleFunction:
 
     # -- evaluation ---------------------------------------------------------
 
-    def value_on_block(self, block_index: int) -> ExtReal:
-        return self.values[block_index]
-
     def __call__(self, atom) -> ExtReal:
         return self.values[self.space.block_index_of(atom)]
 

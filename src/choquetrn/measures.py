@@ -164,7 +164,9 @@ def make_measure(space: MeasurableSpace, spec: Mapping) -> MonotoneMeasure:
     """Dispatch on a generator spec: {"rule": ..., ...}."""
     rule = spec.get("rule")
     if rule == "explicit":
-        table = {tuple(entry["set"]): entry["value"] for entry in spec["table"]}
+        table = {
+            space.make_set(entry["set"]): entry["value"] for entry in spec["table"]
+        }
         return measure_from_table(space, table)
     if rule in ("additive", "max_weight"):
         weights = spec["weights"]

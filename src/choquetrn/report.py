@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .extreal import ExtReal
@@ -38,18 +40,26 @@ def jsonable(obj):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if hasattr(obj, "space") and hasattr(obj, "value_of_mask"):  # MonotoneMeasure
-        return {
-            "sets": [
-                {"set": [str(n) for n in A.atom_names()], "value": str(obj(A))}
-                for A in obj.space.subsets()
-            ]
-        }
     return str(obj)
 
 
+@contextmanager
+def _all_digits():
+    """Lifts Python's limit on int/str conversion (3.10.7 on), which exact
+    values can exceed, and restores it afterwards."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def render_json(report: dict) -> str:
-    return json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n"
+    with _all_digits():
+        return json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n"
 
 
 def _text_lines(value, prefix, out):
@@ -69,5 +79,6 @@ def _text_lines(value, prefix, out):
 def render_text(report: dict) -> str:
     """Flat, aligned text view carrying exactly the JSON facts."""
     lines: list = []
-    _text_lines(jsonable(report), "", lines)
+    with _all_digits():
+        _text_lines(jsonable(report), "", lines)
     return "\n".join(lines) + "\n"

@@ -32,8 +32,8 @@ from .measures import (
 )
 from .spaces import MeasurableSet, MeasurableSpace, build_space
 
-# beyond this many atoms, exhaustive power-set scans give way to a
-# documented polynomial family of test sets
+# beyond this many atoms, verify_sigma_finite's default test sets are a
+# documented polynomial family instead of the power set
 _EXHAUSTIVE_LIMIT = 12
 
 
@@ -47,15 +47,17 @@ def _measure_from_rule(space: MeasurableSpace, rule, depth_index: int) -> Monoto
         weights = {a: Fraction(a) for a in space.atoms}
         return max_weight_measure(space, weights)
     if name == "additive_sequence":
-        weights = {
-            a: rule["weights"][i] for i, a in enumerate(space.atoms)
-        }
-        return additive_measure(space, weights)
+        weights = rule["weights"]
+        if isinstance(weights, str):
+            raise PreconditionError("additive_sequence weights must be a list")
+        return additive_measure(
+            space, {a: weights[i] for i, a in enumerate(space.atoms)}
+        )
     if name == "cardinality":
         return cardinality_measure(space, rule.get("scale", 1))
     if name == "explicit":
         table = {
-            tuple(entry["set"]): entry["value"]
+            space.make_set(entry["set"]): entry["value"]
             for entry in rule["tables"][depth_index]
         }
         return measure_from_table(space, table)
@@ -97,7 +99,7 @@ def make_truncation_model(
     additive_sequence, cardinality, explicit (one table per truncation).
     Both measures must be finite on every truncation.
     """
-    names = tuple(atoms)
+    names = build_space(atoms).atoms
     if depths is None:
         depths = list(range(1, len(names) + 1))
     depths = tuple(depths)
@@ -121,20 +123,14 @@ def make_truncation_model(
                 f"measures must be finite on every truncation (level {level})"
             )
 
-    # consecutive-level agreement implies agreement between any two levels
+    # consecutive-level agreement implies agreement between any two levels;
+    # every set of a level has the same mask on the next, deeper one
     for level in range(len(depths) - 1):
-        small, large = spaces[level], spaces[level + 1]
-        if small.n_blocks <= _EXHAUSTIVE_LIMIT:
-            candidates = list(small.subsets())
-        else:
-            candidates = _polynomial_test_sets(small)
-        for A in candidates:
-            lifted = large.set_from_mask(A.mask)
-            for this, other, label in (
-                (mus[level], mus[level + 1], "mu"),
-                (nus[level], nus[level + 1], "nu"),
-            ):
-                if this(A) != other(lifted):
+        for mask in range(1 << depths[level]):
+            for measures, label in ((mus, "mu"), (nus, "nu")):
+                if (measures[level].value_of_mask(mask)
+                        != measures[level + 1].value_of_mask(mask)):
+                    A = MeasurableSet(spaces[level], mask)
                     raise PreconditionError(
                         f"inconsistent generators: {label}({A}) differs between "
                         f"levels {level} and {level + 1}"

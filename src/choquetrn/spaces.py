@@ -22,6 +22,13 @@ def _popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
+def _names(value) -> tuple:
+    # a string is a sequence of characters, never a list of atom names
+    if isinstance(value, str):
+        raise TypeError(f"expected a list of atom names, got the string {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class MeasurableSpace:
     """A finite universe with a partition-generated sigma-algebra."""
@@ -69,7 +76,7 @@ class MeasurableSpace:
 
     def make_set(self, atom_names: Iterable) -> "MeasurableSet":
         mask = 0
-        for name in atom_names:
+        for name in _names(atom_names):
             mask |= 1 << self.index_of(name)
         return self.set_from_mask(mask)
 
@@ -172,7 +179,7 @@ def build_space(
     algebra is generated by its blocks, which must be nonempty, disjoint and
     cover the universe.
     """
-    names = tuple(atom_names)
+    names = _names(atom_names)
     if not names:
         raise ValueError("a space needs at least one atom")
     if len(set(names)) != len(names):
@@ -186,7 +193,7 @@ def build_space(
         seen = 0
         for block in partition:
             mask = 0
-            for name in block:
+            for name in _names(block):
                 if name not in index:
                     raise ValueError(f"partition mentions unknown atom {name!r}")
                 mask |= 1 << index[name]

@@ -43,8 +43,6 @@ class ProblemSpec:
     functions: Dict[str, SimpleFunction] = field(default_factory=dict)
     family: Optional[DecompositionFamily] = None
     model: Optional[TruncationModel] = None
-    family_generator: Optional[object] = None
-    n_max: Optional[int] = None
     raw: dict = field(default_factory=dict)
 
 
@@ -155,8 +153,6 @@ def parse_problem(data: dict) -> ProblemSpec:
                 )
             # the family's thresholds are the atom names
             threshold_tail_family(spec.model.deepest)
-            spec.family_generator = family
-            spec.n_max = n_max
         except SpecFileError:
             raise
         except _MALFORMED as exc:
@@ -178,46 +174,14 @@ def load_problem(path: str) -> ProblemSpec:
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             location=path,
         ) from exc
+    except ValueError as exc:  # an integer past Python's int/str digit limit
+        raise SpecFileError(str(exc), location=path) from exc
     if not isinstance(data, dict):
         raise SpecFileError("top-level value must be an object", location=path)
     return parse_problem(data)
 
 
 def problem_to_dict(spec: ProblemSpec) -> dict:
-    """Normalized re-serialization; re-parsing yields an equivalent problem."""
-    out: dict = {}
-    if spec.space is not None:
-        out["atoms"] = list(spec.space.atoms)
-        if not spec.space.is_power_set:
-            out["partition"] = [
-                list(spec.space.block_set(i).atom_names())
-                for i in range(spec.space.n_blocks)
-            ]
-        if spec.measures:
-            out["measures"] = {
-                name: {
-                    "rule": "explicit",
-                    "table": [
-                        {"set": list(A.atom_names()), "value": str(m(A))}
-                        for A in spec.space.subsets()
-                    ],
-                }
-                for name, m in sorted(spec.measures.items())
-            }
-        if spec.functions:
-            out["functions"] = {
-                name: {
-                    str(atom): str(f(atom)) for atom in spec.space.atoms
-                }
-                for name, f in sorted(spec.functions.items())
-            }
-        if spec.family is not None:
-            out["family"] = [
-                {"alpha": str(t), "set": list(A.atom_names())}
-                for t, A in zip(spec.family.thresholds, spec.family.sets)
-            ]
-            if spec.family.zero_plus != spec.family.sets[0]:
-                out["zero_plus"] = list(spec.family.zero_plus.atom_names())
-    if spec.model is not None:
-        out["truncations"] = spec.raw.get("truncations", {})
-    return out
+    """The problem as the file gave it: measure rules stay rules, and
+    re-parsing it yields the same problem."""
+    return spec.raw

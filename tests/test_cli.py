@@ -1,9 +1,11 @@
 """The command-line surface: subcommands, exit statuses, report rendering."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import sys
 import tempfile
 
 import pytest
@@ -93,6 +95,28 @@ class TestExitStatuses:
         bad.write_text('{"atoms": ["a", "a"]}')
         code, _, err = run(capsys, "props", "--input", str(bad))
         assert code == EXIT_INPUT
+
+    def test_integer_past_the_digit_limit_is_three(self, capsys, tmp_path):
+        # Python's int/str conversion limit is 4300 digits
+        path = tmp_path / "long.json"
+        path.write_text('{"atoms": ["a"], "n": ' + "9" * 4301 + "}")
+        code, out, err = run(capsys, "props", "--input", str(path))
+        assert code == EXIT_INPUT
+        assert "digits" in err and out == ""
+
+    def test_value_past_the_digit_limit_is_printed(self, capsys, tmp_path):
+        big = "1" + "0" * 3999  # 10^3999, under the limit; its square is not
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "atoms": ["a"],
+            "measures": {"nu": {"rule": "cardinality", "scale": big}},
+            "functions": {"f": {"a": big}},
+        }))
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(capsys, "integrate", "--input", str(path))
+        assert code == EXIT_PASS
+        assert json.loads(out)["tables"]["value"] == "1" + "0" * 7998
+        assert sys.get_int_max_str_digits() == limit
 
 
     @pytest.mark.parametrize("command, problem", [
@@ -199,15 +223,28 @@ class TestReports:
         _, out2, _ = run(capsys, "solve", "--input", solvable_path)
         assert out1 == out2
 
-    def test_digest_and_input_echo(self, capsys, solvable_path):
+    def test_digest_and_input_echo(self, capsys, solvable_path, tmp_path):
         _, out, _ = run(capsys, "verify", "--input", solvable_path)
         report = json.loads(out)
-        assert report["input_digest"].startswith("sha256:")
-        # the echoed input re-parses to an equivalent problem
+        with open(solvable_path, "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
+        assert report["input_digest"] == "sha256:" + digest
+        # the input is echoed as written, and re-parses to the same problem
+        assert report["input"] == SOLVABLE
         from choquetrn import parse_problem
 
         spec = parse_problem(report["input"])
         assert spec.functions["f"]("b") == 5
+
+        # a rule stays a rule: no 2^14-entry table in the report
+        problem = {"atoms": [f"x{k}" for k in range(14)],
+                   "measures": {"nu": {"rule": "cardinality"}}}
+        path = tmp_path / "cardinality.json"
+        path.write_text(json.dumps(problem))
+        code, out, _ = run(capsys, "props", "--input", str(path))
+        assert code == EXIT_PASS
+        assert json.loads(out)["input"]["measures"] == problem["measures"]
+        assert len(out.encode()) < 4096
 
     def test_text_format_carries_the_same_facts(self, capsys, solvable_path):
         _, out_json, _ = run(capsys, "verify", "--input", solvable_path)

@@ -89,6 +89,27 @@ class TestModelConstruction:
             )
         assert "inconsistent" in str(err.value)
 
+    def test_levels_are_compared_on_every_set(self):
+        # past 12 blocks too: mu = |A| except mu({0,2,5}) = 7/2 at depth 13,
+        # a set that no singleton, prefix or parity class reaches
+        atoms = [str(k) for k in range(14)]
+        odd = {0b100101}
+
+        def table(depth, odd_value):
+            space = build_space(atoms[:depth])
+            return [{"set": list(A.atom_names()),
+                     "value": odd_value if A.mask in odd else len(A)}
+                    for A in space.subsets()]
+
+        with pytest.raises(PreconditionError) as err:
+            make_truncation_model(
+                atoms,
+                {"rule": "explicit", "tables": [table(13, "7/2"), table(14, 3)]},
+                {"rule": "cardinality"},
+                depths=[13, 14],
+            )
+        assert "mu({0,2,5}) differs between levels 0 and 1" in str(err.value)
+
     def test_restrict_operations(self):
         model = fixture_f4(4)
         top = model.deepest

@@ -39,6 +39,7 @@ def test_parse_basic():
 
 def test_round_trip_through_problem_to_dict():
     spec = parse_problem(BASIC)
+    assert problem_to_dict(spec) == BASIC
     spec2 = parse_problem(problem_to_dict(spec))
     assert spec2.space == spec.space
     for name in spec.measures:
@@ -52,6 +53,7 @@ def test_zero_plus_round_trip():
     data["zero_plus"] = ["b"]
     spec = parse_problem(data)
     assert spec.family.zero_plus.atom_names() == ("b",)
+    assert problem_to_dict(spec) == data
     spec2 = parse_problem(problem_to_dict(spec))
     assert spec2.family == spec.family
 
@@ -64,6 +66,7 @@ def test_partition_round_trip():
     }
     spec = parse_problem(data)
     assert spec.space.n_blocks == 2
+    assert problem_to_dict(spec) == data
     spec2 = parse_problem(problem_to_dict(spec))
     assert spec2.space == spec.space
 
@@ -80,10 +83,12 @@ def test_truncation_block():
     }
     spec = parse_problem(data)
     assert spec.model.deepest.atoms == ("0", "1", "2", "3", "4")
-    assert spec.family_generator == "threshold_tail"
-    assert spec.n_max == 4
+    # the block is echoed as written, without the defaulted family
+    assert problem_to_dict(spec) == data
     data["truncations"]["family"] = {"rule": "threshold_tail"}
-    assert parse_problem(data).family_generator == {"rule": "threshold_tail"}
+    assert problem_to_dict(parse_problem(data))["truncations"]["family"] == {
+        "rule": "threshold_tail"
+    }
 
 
 def test_error_locations():
@@ -158,6 +163,34 @@ def test_error_locations():
      "truncations"),
     ({"truncations": {"atoms": ["a", "b"], "measures": {
         "mu": {"rule": "cardinality"}, "nu": {"rule": "cardinality"}}}},
+     "truncations"),
+    # a string where the format expects a list is not split into characters
+    ({"atoms": "x10"}, "atoms/partition"),
+    ({"atoms": ["a", "b"], "partition": "ab"}, "atoms/partition"),
+    ({"atoms": ["a", "b"], "partition": ["a", "b"]}, "atoms/partition"),
+    ({"atoms": ["a", "b"], "measures": {"m": {"rule": "explicit", "table": [
+        {"set": [], "value": "0"}, {"set": ["a"], "value": "1"},
+        {"set": ["b"], "value": "1"}, {"set": "ab", "value": "2"}]}}},
+     "measures.m"),
+    ({"atoms": ["a", "b"], "family": [{"alpha": "0", "set": "ab"},
+                                      {"alpha": "1", "set": []}]},
+     "family"),
+    ({"atoms": ["a", "b"], "zero_plus": "ab",
+      "family": [{"alpha": "0", "set": ["a", "b"]}, {"alpha": "1", "set": []}]},
+     "family"),
+    ({"truncations": {"atoms": "012", "depths": [1, 2, 3], "measures": {
+        "mu": {"rule": "cardinality"}, "nu": {"rule": "cardinality"}}}},
+     "truncations"),
+    ({"truncations": {"atoms": ["0", "1"], "depths": [1, 2], "measures": {
+        "mu": {"rule": "explicit", "tables": [
+            [{"set": [], "value": "0"}, {"set": ["0"], "value": "1"}],
+            [{"set": [], "value": "0"}, {"set": ["0"], "value": "1"},
+             {"set": ["1"], "value": "1"}, {"set": "01", "value": "2"}]]},
+        "nu": {"rule": "cardinality"}}}},
+     "truncations"),
+    ({"truncations": {"N_max": 2, "measures": {
+        "mu": {"rule": "additive_sequence", "weights": "123"},
+        "nu": {"rule": "cardinality"}}}},
      "truncations"),
 ])
 def test_malformed_entries_are_located(data, location):
