@@ -19,15 +19,20 @@ from .spaces import MeasurableSet, MeasurableSpace
 
 
 class MonotoneMeasure:
-    """A validated monotone measure, materialized as a full table."""
+    """A validated monotone measure, materialized as a full table.
 
-    __slots__ = ("space", "_table", "generator")
+    The table is never changed after construction, so what is derived from
+    it alone (the running null union of the classifiers) is kept here.
+    """
+
+    __slots__ = ("space", "_table", "generator", "_null_scan")
 
     def __init__(self, space: MeasurableSpace, table: Dict[int, ExtReal],
                  generator: str = "explicit", validate: bool = True):
         self.space = space
         self._table = table
         self.generator = generator
+        self._null_scan = None
         missing = space.n_subsets() - len(table)
         if missing:
             raise InvalidMeasureError(f"table is missing {missing} set(s)")
@@ -198,6 +203,13 @@ def _null_union(m: MonotoneMeasure):
     return U, None, ZERO
 
 
+def _null_scan(m: MonotoneMeasure):
+    """``_null_union(m)``, computed once per measure for all classifiers."""
+    if m._null_scan is None:
+        m._null_scan = _null_union(m)
+    return m._null_scan
+
+
 def is_weakly_null_additive(m: MonotoneMeasure) -> Verdict:
     """Union of two null sets is null.
 
@@ -207,7 +219,7 @@ def is_weakly_null_additive(m: MonotoneMeasure) -> Verdict:
     monotonicity.  The running union U stays null until the first null N
     with m(U | N) != 0, and (U, N, U | N) is then the witness.
     """
-    U, N, v = _null_union(m)
+    U, N, v = _null_scan(m)
     if N is None:
         return Verdict(holds=True)
     witness = Witness("weak-null-additivity", (U, N, U | N), (ZERO, ZERO, v))
@@ -224,7 +236,7 @@ def is_null_additive(m: MonotoneMeasure) -> Verdict:
     (A, N*, A | N*) at the first A with m(A | N*) != m(A), which is also the
     first A that some null set changes.
     """
-    U, N, v_union = _null_union(m)
+    U, N, v_union = _null_scan(m)
     A, v_A = U, ZERO
     if N is None:
         N = U  # the union N* of all null sets

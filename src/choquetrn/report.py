@@ -1,46 +1,117 @@
-"""Structured run reports: one fact base, two renderings (JSON and text)."""
+"""Structured run reports: one fact base, two renderings (JSON and text).
+
+A report is a tree of dicts, lists and tuples whose leaves are library
+objects and plain scalars.  ``_RULES`` gives each type, looked up by
+``type(obj)``, its one conversion rule and the shape of what it converts to:
+
+- ``None``, bools, ints and strings stay as they are;
+- ``ExtReal`` and ``Fraction`` become "p/q" strings, infinity "inf";
+- a ``MeasurableSet`` becomes the list of its atom names, in space order;
+- a ``MeasurableSpace`` becomes {"atoms": [...]}, a ``SimpleFunction`` its
+  atom -> value map, a dataclass its fields and a dict its items under
+  ``str`` keys (when two keys collide after ``str``, the last value wins);
+- a float raises ``TypeError``, since no report may hold one, and any other
+  type becomes ``str(obj)``.
+
+A type without an entry of its own (a subclass, a dataclass) takes the rule
+of the first entry it subclasses, in the order above, dataclasses coming
+before dicts, lists and tuples; each render looks a type up once.
+
+Both renderings walk the report once through this table, converting one
+level at a time, and build no converted copy of it.  ``render_json`` writes
+exactly the text of ``json.dumps(tree, sort_keys=True, indent=2) + "\\n"``
+for the converted tree: strings are escaped to ASCII by the ``json``
+module's own encoder, and each list or sorted mapping is joined at its
+indentation level.  ``render_text`` prints one ``path: value`` line per leaf
+and one ``path: [a, b]`` line per list of leaves, in sorted key order.
+Exact values can exceed Python's int/str conversion limit, so both lift it
+for the whole walk.
+"""
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .extreal import ExtReal
 from .functions import SimpleFunction
 from .spaces import MeasurableSet, MeasurableSpace
 
+# shapes of converted values; LIST and DICT hold unconverted children
+NULL, BOOL, INT, STR, LIST, DICT = range(6)
 
-def jsonable(obj):
-    """Convert library objects to JSON-serializable structures.
 
-    Rationals become "p/q" strings, infinity "inf", sets become sorted atom
-    lists; dataclasses become plain dicts.  Deterministic by construction.
-    """
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        raise TypeError("floats must never appear in reports")
-    if isinstance(obj, (ExtReal, Fraction)):
-        return str(obj)
-    if isinstance(obj, MeasurableSet):
-        return [str(n) for n in obj.atom_names()]
-    if isinstance(obj, MeasurableSpace):
-        return {"atoms": [str(n) for n in obj.atoms]}
-    if isinstance(obj, SimpleFunction):
-        return {str(a): str(obj(a)) for a in obj.space.atoms}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    return str(obj)
+def _no_floats(value):
+    raise TypeError("floats must never appear in reports")
+
+
+def _atom_names(A: MeasurableSet) -> list:
+    return [str(n) for n in A.atom_names()]
+
+
+def _space(space: MeasurableSpace) -> list:
+    return [("atoms", [str(n) for n in space.atoms])]
+
+
+def _function(f: SimpleFunction) -> list:
+    return sorted({str(a): str(f(a)) for a in f.space.atoms}.items())
+
+
+def _items(d: dict) -> list:
+    return sorted({str(k): v for k, v in d.items()}.items())
+
+
+def _fields(cls):
+    names = sorted(f.name for f in dataclasses.fields(cls))
+    return lambda obj: [(name, getattr(obj, name)) for name in names]
+
+
+# type -> (shape, conversion or None for "as it is"), in precedence order; a
+# DICT conversion gives the (key, child) pairs in sorted key order
+_RULES = {
+    type(None): (NULL, None),
+    bool: (BOOL, None),
+    int: (INT, None),
+    str: (STR, None),
+    float: (STR, _no_floats),
+    ExtReal: (STR, str),
+    Fraction: (STR, str),
+    MeasurableSet: (LIST, _atom_names),
+    MeasurableSpace: (DICT, _space),
+    SimpleFunction: (DICT, _function),
+    dict: (DICT, _items),
+    list: (LIST, None),
+    tuple: (LIST, None),
+}
+
+
+def _rule(cls):
+    """The rule of a type: its own entry, else that of the first entry it
+    subclasses, dataclasses coming before dicts, lists and tuples."""
+    rule = _RULES.get(cls)
+    if rule is not None:
+        return rule
+    for base, rule in _RULES.items():
+        if base is dict and dataclasses.is_dataclass(cls):
+            return DICT, _fields(cls)
+        if issubclass(cls, base):
+            return rule
+    return STR, str
+
+
+class _Lookup(dict):
+    """type -> ``make(type)``, made once per type; one per render."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, cls):
+        found = self[cls] = self.make(cls)
+        return found
 
 
 @contextmanager
@@ -57,28 +128,73 @@ def _all_digits():
             sys.set_int_max_str_digits(limit)
 
 
+# JSON text of a converted leaf, by shape
+_JSON_LEAVES = (
+    lambda value: "null",
+    lambda value: "true" if value else "false",
+    int.__repr__,
+    encode_basestring_ascii,
+)
+
+
+def _json_leaf(rule):
+    """The JSON text of a leaf type's objects, or None for a container."""
+    shape, convert = rule
+    if shape >= LIST:
+        return None
+    encode = _JSON_LEAVES[shape]
+    return encode if convert is None else lambda obj: encode(convert(obj))
+
+
 def render_json(report: dict) -> str:
+    rules = _Lookup(_rule)
+    leaves = _Lookup(lambda cls: _json_leaf(rules[cls]))
+
+    def walk(obj, indent):
+        encode = leaves[type(obj)]
+        if encode is not None:
+            return encode(obj)
+        shape, convert = rules[type(obj)]
+        value = obj if convert is None else convert(obj)
+        if not value:
+            return "[]" if shape == LIST else "{}"
+        inner = indent + "  "
+        if shape == LIST:
+            parts = [walk(v, inner) if (encode := leaves[type(v)]) is None
+                     else encode(v) for v in value]
+            return "[" + inner + ("," + inner).join(parts) + indent + "]"
+        parts = [encode_basestring_ascii(k) + ": " + (
+                     walk(v, inner) if (encode := leaves[type(v)]) is None
+                     else encode(v)) for k, v in value]
+        return "{" + inner + ("," + inner).join(parts) + indent + "}"
+
     with _all_digits():
-        return json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n"
-
-
-def _text_lines(value, prefix, out):
-    if isinstance(value, dict):
-        for key in sorted(value):
-            _text_lines(value[key], f"{prefix}{key}.", out)
-    elif isinstance(value, list):
-        if all(not isinstance(v, (dict, list)) for v in value):
-            out.append(f"{prefix[:-1]}: [{', '.join(str(v) for v in value)}]")
-        else:
-            for i, v in enumerate(value):
-                _text_lines(v, f"{prefix}{i}.", out)
-    else:
-        out.append(f"{prefix[:-1]}: {value}")
+        return walk(report, "\n") + "\n"
 
 
 def render_text(report: dict) -> str:
     """Flat, aligned text view carrying exactly the JSON facts."""
-    lines: list = []
+    rules = _Lookup(_rule)
+    out: list = []
+
+    def walk(obj, prefix):
+        shape, convert = rules[type(obj)]
+        value = obj if convert is None else convert(obj)
+        if shape == DICT:
+            for key, v in value:
+                walk(v, f"{prefix}{key}.")
+        elif shape == LIST and any(rules[type(v)][0] >= LIST for v in value):
+            for i, v in enumerate(value):
+                walk(v, f"{prefix}{i}.")
+        elif shape == LIST:
+            out.append(f"{prefix[:-1]}: [{', '.join(map(leaf, value))}]")
+        else:
+            out.append(f"{prefix[:-1]}: {value}")
+
+    def leaf(obj):
+        convert = rules[type(obj)][1]
+        return str(obj if convert is None else convert(obj))
+
     with _all_digits():
-        _text_lines(jsonable(report), "", lines)
-    return "\n".join(lines) + "\n"
+        walk(report, "")
+    return "\n".join(out) + "\n"

@@ -22,10 +22,12 @@ def _popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
-def _names(value) -> tuple:
-    # a string is a sequence of characters, never a list of atom names
-    if isinstance(value, str):
-        raise TypeError(f"expected a list of atom names, got the string {value!r}")
+def _names(value, what: str = "atom names") -> tuple:
+    # a string is a sequence of characters and an object a collection of
+    # keys, never a list
+    if isinstance(value, (str, dict)):
+        kind = "string" if isinstance(value, str) else "object"
+        raise TypeError(f"expected a list of {what}, got the {kind} {value!r}")
     return tuple(value)
 
 
@@ -191,7 +193,7 @@ def build_space(
     else:
         masks = []
         seen = 0
-        for block in partition:
+        for block in _names(partition, "blocks"):
             mask = 0
             for name in _names(block):
                 if name not in index:

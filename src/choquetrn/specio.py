@@ -64,28 +64,35 @@ def _object(value, location: str) -> dict:
     return value
 
 
-def _reject_floats(value, location: str) -> None:
-    if isinstance(value, float):
-        raise SpecFileError(
-            f"{value!r}: floats are not allowed; write an integer or a 'p/q' string",
-            location=location,
-        )
+def _reject_inexact(value, location: str) -> None:
+    """A float or a boolean anywhere in ``value`` is a located error: a
+    float is not exact, and a JSON ``true``/``false`` is not a number."""
     if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, (list, tuple)):
-        for item in value:
-            _reject_floats(item, location)
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        value = (value,)
+    for item in value:
+        if isinstance(item, (dict, list, tuple)):
+            _reject_inexact(item, location)
+        elif isinstance(item, (float, bool)):
+            text, kind = ((repr(item), "floats") if isinstance(item, float)
+                          else (json.dumps(item), "booleans"))
+            raise SpecFileError(
+                f"{text}: {kind} are not allowed; write an integer or a 'p/q' string",
+                location=location,
+            )
 
 
 def parse_problem(data: dict) -> ProblemSpec:
-    # one rule for files and dicts: a float anywhere is an error, located at
-    # its top-level key or, for measures and functions, at its entry
+    # one rule for files and dicts: a float or a boolean anywhere is an
+    # error, located at its top-level key or, for measures and functions, at
+    # its entry
     for key, value in data.items():
         if key in ("measures", "functions") and isinstance(value, dict):
             for name, entry in value.items():
-                _reject_floats(entry, f"{key}.{name}")
+                _reject_inexact(entry, f"{key}.{name}")
         else:
-            _reject_floats(value, str(key))
+            _reject_inexact(value, str(key))
     spec = ProblemSpec(raw=data)
     try:
         if "atoms" in data:

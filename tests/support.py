@@ -14,8 +14,13 @@ that deciding each set from its adjacent band pairs loses nothing.  The
 dyadic, null-additivity and strong absolute continuity oracles are the
 direct loops over the definitions (the grid of dyadic left limits, all pairs
 of sets, every set per epsilon) that the library's closed forms replace.
+The report oracles are the library's former renderers: ``jsonable`` copies
+a report into plain containers, which ``json.dumps`` or the former text
+walk then print, so they check the one-walk renderers byte for byte.
 """
 
+import dataclasses
+import json
 from fractions import Fraction
 from itertools import permutations
 
@@ -23,6 +28,7 @@ from choquetrn import (
     ExtReal,
     INF,
     MeasurableSet,
+    MeasurableSpace,
     MonotoneMeasure,
     SimpleFunction,
     Verdict,
@@ -36,6 +42,7 @@ from choquetrn import (
 from choquetrn.choquet import IntegralBreakdown
 from choquetrn.decomposition import DecompositionReport, PairRecord
 from choquetrn.errors import PreconditionError, SpaceMismatchError
+from choquetrn.report import _all_digits
 from choquetrn.sigma_finite import (
     _EXHAUSTIVE_LIMIT,
     SigmaFiniteRecord,
@@ -479,3 +486,59 @@ def scan_strong_abs_continuity(mu, nu):
                 values=(eps, delta),
             )
     return Verdict(holds=holds, witness=witness, table=tuple(table))
+
+
+def jsonable(obj):
+    """Convert library objects to JSON-serializable structures.
+
+    Rationals become "p/q" strings, infinity "inf", sets become sorted atom
+    lists; dataclasses become plain dicts.  Deterministic by construction.
+    """
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, float):
+        raise TypeError("floats must never appear in reports")
+    if isinstance(obj, (ExtReal, Fraction)):
+        return str(obj)
+    if isinstance(obj, MeasurableSet):
+        return [str(n) for n in obj.atom_names()]
+    if isinstance(obj, MeasurableSpace):
+        return {"atoms": [str(n) for n in obj.atoms]}
+    if isinstance(obj, SimpleFunction):
+        return {str(a): str(obj(a)) for a in obj.space.atoms}
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {
+            f.name: jsonable(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+        }
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    return str(obj)
+
+
+def json_report_oracle(report):
+    with _all_digits():
+        return json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n"
+
+
+def _text_lines(value, prefix, out):
+    if isinstance(value, dict):
+        for key in sorted(value):
+            _text_lines(value[key], f"{prefix}{key}.", out)
+    elif isinstance(value, list):
+        if all(not isinstance(v, (dict, list)) for v in value):
+            out.append(f"{prefix[:-1]}: [{', '.join(str(v) for v in value)}]")
+        else:
+            for i, v in enumerate(value):
+                _text_lines(v, f"{prefix}{i}.", out)
+    else:
+        out.append(f"{prefix[:-1]}: {value}")
+
+
+def text_report_oracle(report):
+    lines = []
+    with _all_digits():
+        _text_lines(jsonable(report), "", lines)
+    return "\n".join(lines) + "\n"

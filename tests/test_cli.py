@@ -143,6 +143,37 @@ class TestCommands:
         assert report["verdicts"]["nu.null_additive"] is True
         assert report["tables"]["modulus"]
 
+    def test_props_scans_null_sets_once_per_measure(self, capsys, tmp_path,
+                                                    monkeypatch):
+        from choquetrn import measures
+
+        calls = []
+        scan = measures._null_union
+        monkeypatch.setattr(measures, "_null_union",
+                            lambda m: calls.append(m) or scan(m))
+        path = tmp_path / "props.json"
+        path.write_text(json.dumps({
+            "atoms": ["a", "b"],
+            "measures": {
+                "nu": {"rule": "explicit", "table": [
+                    {"set": [], "value": "0"}, {"set": ["a"], "value": "0"},
+                    {"set": ["b"], "value": "0"}, {"set": ["a", "b"], "value": "1"},
+                ]},
+                "mu": {"rule": "cardinality"},
+                "zero": {"rule": "zero"},
+            },
+        }))
+        code, out, _ = run(capsys, "props", "--input", str(path))
+        assert code == EXIT_FAIL
+        assert len(calls) == 3 and len({id(m) for m in calls}) == 3
+        report = json.loads(out)
+        assert report["verdicts"]["nu.weakly_null_additive"] is False
+        assert report["verdicts"]["nu.null_additive"] is False
+        assert report["verdicts"]["mu.null_additive"] is True
+        assert report["verdicts"]["zero.property_sigma"] is True
+        assert report["witnesses"]["nu.property_sigma"] == (
+            report["witnesses"]["nu.weakly_null_additive"])
+
     def test_integrate(self, capsys, solvable_path):
         code, out, _ = run(capsys, "integrate", "--input", solvable_path)
         assert code == EXIT_PASS

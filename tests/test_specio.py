@@ -192,6 +192,31 @@ def test_error_locations():
         "mu": {"rule": "additive_sequence", "weights": "123"},
         "nu": {"rule": "cardinality"}}}},
      "truncations"),
+    # a JSON boolean is not the number 0 or 1
+    ({"atoms": ["a", "b"], "measures": {"m": {"rule": "cardinality", "scale": True}}},
+     "measures.m"),
+    ({"truncations": {"N_max": True, "measures": {
+        "mu": {"rule": "max_element"}, "nu": {"rule": "indicator_nonempty"}}}},
+     "truncations"),
+    ({"atoms": ["a", "b"], "functions": {"f": {"a": True, "b": False}}},
+     "functions.f"),
+    # nor is an object a list of its keys
+    ({"atoms": {"a": 1, "b": 2}}, "atoms/partition"),
+    ({"atoms": ["a", "b"], "partition": [{"a": 0}, ["b"]]}, "atoms/partition"),
+    ({"atoms": ["a", "b"], "partition": {"a": ["a"], "b": ["b"]}}, "atoms/partition"),
+    ({"atoms": ["a", "b"], "measures": {"m": {"rule": "explicit", "table": [
+        {"set": [], "value": "0"}, {"set": ["a"], "value": "1"},
+        {"set": ["b"], "value": "1"}, {"set": {"a": 0, "b": 0}, "value": "2"}]}}},
+     "measures.m"),
+    ({"atoms": ["a", "b"], "family": [{"alpha": "0", "set": {"a": 0, "b": 0}},
+                                      {"alpha": "1", "set": []}]},
+     "family"),
+    ({"atoms": ["a", "b"], "zero_plus": {"a": 0, "b": 0},
+      "family": [{"alpha": "0", "set": ["a", "b"]}, {"alpha": "1", "set": []}]},
+     "family"),
+    ({"truncations": {"atoms": {"0": 0, "1": 1}, "depths": [1, 2], "measures": {
+        "mu": {"rule": "cardinality"}, "nu": {"rule": "cardinality"}}}},
+     "truncations"),
 ])
 def test_malformed_entries_are_located(data, location):
     """Wrong types and values in any entry give a located SpecFileError."""
