@@ -114,7 +114,7 @@ def choquet_value(
 def indefinite_integral_measure(f: SimpleFunction, nu: MonotoneMeasure) -> MonotoneMeasure:
     """The set function A -> integral of f over A; always a monotone measure."""
     table = {A.mask: choquet_value(f, nu, A) for A in f.space.subsets()}
-    return MonotoneMeasure(f.space, table, generator="indefinite-integral", validate=False)
+    return MonotoneMeasure(f.space, table, validate=False)
 
 
 def is_comonotone(f: SimpleFunction, g: SimpleFunction) -> Verdict:

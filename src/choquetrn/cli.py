@@ -54,6 +54,34 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# Each command's help and the options its handler reads.  Every command also
+# takes --format, --seed and --out; any other option is a usage error.
+_COMMANDS = {
+    "props": ("measure classifiers and absolute continuity", "input mu nu"),
+    "integrate": ("Choquet integral with layer breakdown", "input f nu set"),
+    "comonotone": ("comonotonicity of two functions", "input f g"),
+    "check-decomposition": ("two-sided inequality check for a family", "input mu nu"),
+    "derive": ("derive the function of a family", "input"),
+    "dyadic": ("dyadic approximant of a family (needs --n)", "input n"),
+    "verify": ("verify mu(A) = integral of f over A for all A", "input mu nu f"),
+    "solve": ("decide existence of a density", "input mu nu"),
+    "classical": ("additive special case, end to end", "input mu nu"),
+    "sigma-finite": ("truncation model: glue and verify", "input"),
+    "example": ("reproduce a named worked example", "n"),
+}
+
+_OPTIONS = {
+    "input": {"help": "problem description file (JSON)"},
+    "format": {"choices": ["json", "text"], "default": "json"},
+    "set": {"dest": "set_atoms", "help": "comma-separated atoms"},
+    "n": {"type": int, "help": "depth / index"},
+    "seed": {"type": int, "default": 0, "help": "seed echoed into the report"},
+    "out": {"help": "write the report here instead of stdout"},
+    "mu": {"default": "mu"}, "nu": {"default": "nu"},
+    "f": {"default": "f"}, "g": {"default": "g"},
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="choquet-rn",
@@ -63,34 +91,13 @@ def _build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--input", help="problem description file (JSON)")
-        p.add_argument("--format", choices=["json", "text"], default="json")
-        p.add_argument("--set", dest="set_atoms", help="comma-separated atoms")
-        p.add_argument("--n", type=int, default=None, help="depth / index")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed echoed into the report (randomized suites)")
-        p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--mu", default="mu")
-        p.add_argument("--nu", default="nu")
-        p.add_argument("--f", default="f")
-        p.add_argument("--g", default="g")
-        return p
-
-    add("props", help="measure classifiers and absolute continuity")
-    add("integrate", help="Choquet integral with layer breakdown")
-    add("comonotone", help="comonotonicity of two functions")
-    add("check-decomposition", help="two-sided inequality check for a family")
-    add("derive", help="derive the function of a family")
-    add("dyadic", help="dyadic approximant of a family (needs --n)")
-    add("verify", help="verify mu(A) = integral of f over A for all A")
-    add("solve", help="decide existence of a density")
-    add("classical", help="additive special case, end to end")
-    add("sigma-finite", help="truncation model: glue and verify")
-    p = add("example", help="reproduce a named worked example")
-    p.add_argument("id", choices=["ex-3-6", "ex-4-4", "classical"])
+    for name, (help_text, reads) in _COMMANDS.items():
+        # no abbreviations: "--f" must not stand for "--format"
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for option, kwargs in _OPTIONS.items():
+            if option in reads.split() or option in ("format", "seed", "out"):
+                p.add_argument(f"--{option}", **kwargs)
+    sub.choices["example"].add_argument("id", choices=["ex-3-6", "ex-4-4", "classical"])
     return parser
 
 
@@ -98,7 +105,8 @@ def _check_args(args) -> None:
     """Usage rules that argparse does not express."""
     if args.command != "example" and not args.input:
         raise _UsageError(f"{args.command} needs --input")
-    if args.n is not None and not 1 <= args.n <= MAX_N:
+    n = getattr(args, "n", None)
+    if n is not None and not 1 <= n <= MAX_N:
         raise _UsageError(f"--n must be an integer from 1 to {MAX_N}")
 
 
@@ -127,15 +135,15 @@ def _run_command(args) -> dict:
         "witnesses": {},
         "tables": {},
     }
-    if args.input:
-        with open(args.input, "rb") as handle:
-            report["input_digest"] = "sha256:" + hashlib.sha256(
-                handle.read()
-            ).hexdigest()
-        spec = load_problem(args.input)
-        report["input"] = problem_to_dict(spec)
-    else:
-        spec = None
+    if args.command == "example":
+        _run_example(args, report)
+        return report
+    with open(args.input, "rb") as handle:
+        report["input_digest"] = "sha256:" + hashlib.sha256(
+            handle.read()
+        ).hexdigest()
+    spec = load_problem(args.input)
+    report["input"] = problem_to_dict(spec)
 
     v = report["verdicts"]
     w = report["witnesses"]
@@ -244,36 +252,45 @@ def _run_command(args) -> dict:
     elif args.command == "classical":
         mu = _need(spec, "measures", args.mu)
         nu = _need(spec, "measures", args.nu)
-        result = classical_rn_check(mu, nu)
-        v["abs_continuous"] = result.ac.holds
-        v["holds"] = result.holds
-        v["solver_agrees"] = result.solver_agrees
-        if result.function is not None:
-            t["function"] = result.function
-        if result.ac.witness:
-            w["abs_continuous"] = result.ac.witness
-        report["pass"] = result.holds
+        _classical(mu, nu, report)
 
     elif args.command == "sigma-finite":
         if spec.model is None:
             raise SpecFileError("the input file has no truncation model")
-        glue = glue_derivative(spec.model, "threshold_tail")
-        v["glue"] = glue.holds
-        v["finite_ae"] = glue.finite_ae
-        if glue.function is not None:
-            t["function"] = glue.function
-            check = verify_sigma_finite(spec.model, glue.function)
-            v["verify"] = check.holds
+        _sigma_finite(spec.model, report)
         report["pass"] = all(v.values())
-
-    elif args.command == "example":
-        _run_example(args, report)
 
     return report
 
 
-def _run_example(args, report: dict) -> None:
+def _classical(mu, nu, report: dict) -> None:
+    """The additive case end to end; passes iff every verdict holds."""
     v, w, t = report["verdicts"], report["witnesses"], report["tables"]
+    result = classical_rn_check(mu, nu)
+    v["abs_continuous"] = result.ac.holds
+    v["holds"] = result.holds
+    v["solver_agrees"] = result.solver_agrees
+    if result.function is not None:
+        t["function"] = result.function
+    if result.ac.witness:
+        w["abs_continuous"] = result.ac.witness
+    report["pass"] = all(v.values())
+
+
+def _sigma_finite(model, report: dict):
+    """Glue and verify the threshold-tail density; returns it, or None."""
+    v, t = report["verdicts"], report["tables"]
+    glue = glue_derivative(model, "threshold_tail")
+    v["glue"] = glue.holds
+    v["finite_ae"] = glue.finite_ae
+    if glue.function is not None:
+        t["function"] = glue.function
+        v["verify"] = verify_sigma_finite(model, glue.function).holds
+    return glue.function
+
+
+def _run_example(args, report: dict) -> None:
+    v, t = report["verdicts"], report["tables"]
     if args.id == "ex-3-6":
         fx = fixture_f1()
         r1 = verify_rn(fx.mu, fx.nu, fx.f1)
@@ -293,32 +310,16 @@ def _run_example(args, report: dict) -> None:
             and not cmp_.equal and cmp_.diff_measure == 1
         )
     elif args.id == "ex-4-4":
-        n = 8 if args.n is None else args.n
-        model = fixture_f4(n)
-        glue = glue_derivative(model, "threshold_tail")
-        v["glue"] = glue.holds
-        v["finite_ae"] = glue.finite_ae
-        ok = glue.holds
-        if glue.function is not None:
-            t["function"] = glue.function
-            check = verify_sigma_finite(model, glue.function)
-            v["verify"] = check.holds
-            identity = all(
-                glue.function(a) == Fraction(a) for a in model.deepest.atoms
+        model = fixture_f4(8 if args.n is None else args.n)
+        f = _sigma_finite(model, report)
+        if f is not None:
+            v["function_is_identity"] = all(
+                f(a) == Fraction(a) for a in model.deepest.atoms
             )
-            v["function_is_identity"] = identity
-            ok = ok and check.holds and identity
-        report["pass"] = ok
+        report["pass"] = all(v.values())
     else:  # classical
         fx = fixture_f2()
-        result = classical_rn_check(fx.mu, fx.nu)
-        v["holds"] = result.holds
-        v["abs_continuous"] = result.ac.holds
-        if result.function is not None:
-            t["function"] = result.function
-        certificate = solve_rn(fx.mu, fx.nu)
-        v["solver_agrees"] = certificate.solvable
-        report["pass"] = result.holds and certificate.solvable
+        _classical(fx.mu, fx.nu, report)
 
 
 def main(argv=None) -> int:

@@ -20,6 +20,14 @@ def _coerce(value) -> "ExtReal":
     return ExtReal(value)
 
 
+def _operand(value):
+    """An ExtReal, int or Fraction as an ExtReal, else NotImplemented:
+    arithmetic, like comparison, parses no strings."""
+    if isinstance(value, ExtReal):
+        return value
+    return ExtReal(value) if isinstance(value, (int, Fraction)) else NotImplemented
+
+
 class ExtReal:
     """A nonnegative rational or +infinity; immutable and hashable."""
 
@@ -57,7 +65,9 @@ class ExtReal:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         if self._frac is None or other._frac is None:
             return INF
         return ExtReal(self._frac + other._frac)
@@ -65,7 +75,9 @@ class ExtReal:
     __radd__ = __add__
 
     def __mul__(self, other):
-        other = _coerce(other)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         a, b = self._frac, other._frac
         if a is None:
             return ZERO if b == 0 else INF
@@ -76,7 +88,9 @@ class ExtReal:
     __rmul__ = __mul__
 
     def __sub__(self, other):
-        other = _coerce(other)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         if self._frac is None:
             if other._frac is None:
                 raise ArithmeticError("inf - inf is undefined")
@@ -158,12 +172,7 @@ def ext_min(*values) -> ExtReal:
 
 
 def ext_max(*values) -> ExtReal:
-    vals = [_coerce(v) for v in values]
-    best = vals[0]
-    for v in vals[1:]:
-        if v > best:
-            best = v
-    return best
+    return max(map(_coerce, values))
 
 
 def ext_sum(values) -> ExtReal:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import groupby
 from typing import Dict, Mapping
 
-from .errors import InvalidMeasureError, PreconditionError, SpaceMismatchError
+from .errors import InvalidMeasureError, SpaceMismatchError
 from .extreal import ExtReal, INF, ZERO, ext_max, ext_min, ext_sum
 from .results import Verdict, Witness
 from .spaces import MeasurableSet, MeasurableSpace
@@ -25,13 +25,12 @@ class MonotoneMeasure:
     it alone (the running null union of the classifiers) is kept here.
     """
 
-    __slots__ = ("space", "_table", "generator", "_null_scan")
+    __slots__ = ("space", "_table", "_null_scan")
 
     def __init__(self, space: MeasurableSpace, table: Dict[int, ExtReal],
-                 generator: str = "explicit", validate: bool = True):
+                 validate: bool = True):
         self.space = space
         self._table = table
-        self.generator = generator
         self._null_scan = None
         missing = space.n_subsets() - len(table)
         if missing:
@@ -110,15 +109,16 @@ class MonotoneMeasure:
 
 # -- constructors ------------------------------------------------------------
 
-def measure_from_table(space: MeasurableSpace,
-                       table: Mapping, generator: str = "explicit",
-                       validate: bool = True) -> MonotoneMeasure:
-    """Build a measure from {MeasurableSet | iterable-of-atoms: value}."""
+def measure_from_table(space: MeasurableSpace, table) -> MonotoneMeasure:
+    """Build a measure from {set: value} or (set, value) pairs, each set a
+    MeasurableSet or atom names; a set given twice is an error."""
     full: Dict[int, ExtReal] = {}
-    for key, value in table.items():
+    for key, value in table.items() if isinstance(table, Mapping) else table:
         A = key if isinstance(key, MeasurableSet) else space.make_set(key)
+        if A.mask in full:
+            raise InvalidMeasureError(f"set {A} is listed twice")
         full[A.mask] = ExtReal(value)
-    return MonotoneMeasure(space, full, generator=generator, validate=validate)
+    return MonotoneMeasure(space, full)
 
 
 def additive_measure(space: MeasurableSpace, weights: Mapping) -> MonotoneMeasure:
@@ -131,14 +131,14 @@ def additive_measure(space: MeasurableSpace, weights: Mapping) -> MonotoneMeasur
         table[A.mask] = ext_sum(
             w[i] for i in range(len(space.atoms)) if A.mask & (1 << i)
         )
-    return MonotoneMeasure(space, table, generator="additive", validate=False)
+    return MonotoneMeasure(space, table, validate=False)
 
 
 def indicator_full_measure(space: MeasurableSpace, value=1) -> MonotoneMeasure:
     """value on the whole universe, 0 on every proper subset."""
     top = ExtReal(value)
     table = {A.mask: (top if A.is_full else ZERO) for A in space.subsets()}
-    return MonotoneMeasure(space, table, generator="indicator_full", validate=False)
+    return MonotoneMeasure(space, table, validate=False)
 
 
 def max_weight_measure(space: MeasurableSpace, weights: Mapping) -> MonotoneMeasure:
@@ -150,29 +150,26 @@ def max_weight_measure(space: MeasurableSpace, weights: Mapping) -> MonotoneMeas
     for A in space.subsets():
         members = [w[i] for i in range(len(space.atoms)) if A.mask & (1 << i)]
         table[A.mask] = ext_max(ZERO, *members) if members else ZERO
-    return MonotoneMeasure(space, table, generator="max_weight", validate=False)
+    return MonotoneMeasure(space, table, validate=False)
 
 
 def cardinality_measure(space: MeasurableSpace, scale=1) -> MonotoneMeasure:
     """m(A) = scale * |A| (counting points of the universe)."""
     c = ExtReal(scale)
     table = {A.mask: c * len(A) for A in space.subsets()}
-    return MonotoneMeasure(space, table, generator="cardinality", validate=False)
+    return MonotoneMeasure(space, table, validate=False)
 
 
 def zero_measure(space: MeasurableSpace) -> MonotoneMeasure:
     table = {A.mask: ZERO for A in space.subsets()}
-    return MonotoneMeasure(space, table, generator="zero", validate=False)
+    return MonotoneMeasure(space, table, validate=False)
 
 
 def make_measure(space: MeasurableSpace, spec: Mapping) -> MonotoneMeasure:
     """Dispatch on a generator spec: {"rule": ..., ...}."""
     rule = spec.get("rule")
     if rule == "explicit":
-        table = {
-            space.make_set(entry["set"]): entry["value"] for entry in spec["table"]
-        }
-        return measure_from_table(space, table)
+        return measure_from_table(space, [(e["set"], e["value"]) for e in spec["table"]])
     if rule in ("additive", "max_weight"):
         weights = spec["weights"]
         if not isinstance(weights, Mapping):
@@ -288,14 +285,13 @@ def strongly_abs_continuous(mu: MonotoneMeasure, nu: MonotoneMeasure) -> Verdict
     a running minimum of nu.  delta grows with eps, so the property fails iff
     delta is 0 at the smallest eps, where {mu >= eps} = {mu > 0}: iff some
     set with mu > 0 is nu-null.  The witness is the last such set in
-    canonical order.
+    canonical order.  None of this needs mu finite: an infinite eps is one
+    more row, sorted last.
     """
     if mu.space != nu.space:
         raise SpaceMismatchError("measures live on different spaces")
-    if not mu.is_finite:
-        raise PreconditionError("strong absolute continuity requires finite mu")
     rows = [(mu(A), nu(A), A) for A in mu.space.subsets() if mu(A) != ZERO]
-    by_eps = sorted(rows, key=lambda row: row[0].as_fraction(), reverse=True)
+    by_eps = sorted(rows, key=lambda row: row[0], reverse=True)
     table = []
     delta = INF
     for eps, group in groupby(by_eps, key=lambda row: row[0]):

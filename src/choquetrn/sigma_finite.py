@@ -42,7 +42,7 @@ def _measure_from_rule(space: MeasurableSpace, rule, depth_index: int) -> Monoto
     if name == "indicator_nonempty":
         value = ExtReal(rule.get("value", 1))
         table = {A.mask: (ZERO if A.is_empty else value) for A in space.subsets()}
-        return MonotoneMeasure(space, table, generator="indicator_nonempty", validate=False)
+        return MonotoneMeasure(space, table, validate=False)
     if name == "max_element":
         weights = {a: Fraction(a) for a in space.atoms}
         return max_weight_measure(space, weights)
@@ -56,11 +56,8 @@ def _measure_from_rule(space: MeasurableSpace, rule, depth_index: int) -> Monoto
     if name == "cardinality":
         return cardinality_measure(space, rule.get("scale", 1))
     if name == "explicit":
-        table = {
-            space.make_set(entry["set"]): entry["value"]
-            for entry in rule["tables"][depth_index]
-        }
-        return measure_from_table(space, table)
+        entries = rule["tables"][depth_index]
+        return measure_from_table(space, [(e["set"], e["value"]) for e in entries])
     raise PreconditionError(f"unknown truncation measure rule {name!r}")
 
 
@@ -282,9 +279,11 @@ def verify_sigma_finite(
     """Check mu(A & U_n) = integral of f over A & U_n at every level, and
     that both sides are nondecreasing in n (the truncated limit mechanism).
 
-    Test sets must live on the deepest truncation.  Many test sets meet U_n
-    in the same set, so f is restricted once per level and the integral is
-    computed once per distinct truncated set A & U_n and reused."""
+    Test sets must live on the deepest truncation.  The integral is taken
+    once per distinct set A & U_n, on the deepest truncation: over a set B
+    inside U_n it reads only f on B and nu on subsets of B, where every
+    level's nu agrees (``make_truncation_model`` checks it), so it is the
+    level-n integral.  mu(A & U_n) is read from each level's own mu."""
     deepest = model.deepest
     if f.space != deepest:
         raise PreconditionError("f must live on the deepest truncation")
@@ -294,26 +293,20 @@ def verify_sigma_finite(
         else:
             test_sets = _polynomial_test_sets(deepest)
 
-    levels = range(len(model.depths))
-    functions = [model.restrict_function(f, level) for level in levels]
-    integrals = [{} for _ in levels]  # per level: truncated mask -> integral
+    nu = model.nus[-1]
+    prefixes = [(1 << depth) - 1 for depth in model.depths]
+    integrals = {}  # truncated mask -> integral over it
     records = []
     holds = True
     for A in test_sets:
         if A.space != deepest:
             raise SpaceMismatchError("test sets must live on the deepest truncation")
-        mu_vals = []
-        int_vals = []
-        for level in levels:
-            A_n = model.restrict_set(A, level)
-            mu_vals.append(model.mus[level](A_n))
-            known = integrals[level]
-            value = known.get(A_n.mask)
-            if value is None:
-                value = known[A_n.mask] = choquet_value(
-                    functions[level], model.nus[level], A_n
-                )
-            int_vals.append(value)
+        masks = [A.mask & prefix for prefix in prefixes]
+        mu_vals = [mu.value_of_mask(mask) for mu, mask in zip(model.mus, masks)]
+        for mask in masks:
+            if mask not in integrals:
+                integrals[mask] = choquet_value(f, nu, MeasurableSet(deepest, mask))
+        int_vals = [integrals[mask] for mask in masks]
         equal = all(a == b for a, b in zip(mu_vals, int_vals))
         nondecreasing = all(
             x <= y for x, y in zip(mu_vals, mu_vals[1:])

@@ -462,10 +462,7 @@ def pairwise_null_additivity(m):
 def scan_strong_abs_continuity(mu, nu):
     """The epsilon-delta modulus table by scanning every set for every
     distinct positive mu value, with the library's witness choice."""
-    eps_values = sorted(
-        {mu(A) for A in mu.space.subsets() if mu(A) != ZERO},
-        key=lambda v: v.as_fraction(),
-    )
+    eps_values = sorted({mu(A) for A in mu.space.subsets() if mu(A) != ZERO})
     table = []
     holds = True
     witness = None

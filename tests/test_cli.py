@@ -1,5 +1,6 @@
 """The command-line surface: subcommands, exit statuses, report rendering."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -174,6 +175,26 @@ class TestCommands:
         assert report["witnesses"]["nu.property_sigma"] == (
             report["witnesses"]["nu.weakly_null_additive"])
 
+    def test_props_with_infinite_mu(self, capsys, tmp_path):
+        path = tmp_path / "infinite.json"
+        path.write_text(json.dumps({
+            "atoms": ["a", "b"],
+            "measures": {
+                "mu": {"rule": "explicit", "table": [
+                    {"set": [], "value": "0"}, {"set": ["a"], "value": "1"},
+                    {"set": ["b"], "value": "inf"},
+                    {"set": ["a", "b"], "value": "inf"},
+                ]},
+                "nu": {"rule": "cardinality"},
+            },
+        }))
+        code, out, err = run(capsys, "props", "--input", str(path))
+        assert code == EXIT_PASS, err
+        report = json.loads(out)
+        assert report["verdicts"]["strongly_abs_continuous"] is True
+        assert report["tables"]["modulus"] == [
+            {"eps": "1", "delta": "1"}, {"eps": "inf", "delta": "1"}]
+
     def test_integrate(self, capsys, solvable_path):
         code, out, _ = run(capsys, "integrate", "--input", solvable_path)
         assert code == EXIT_PASS
@@ -240,6 +261,20 @@ class TestCommands:
             code, out, _ = run(capsys, "example", name)
             assert code == EXIT_PASS, name
             assert json.loads(out)["pass"] is True
+
+    def test_example_classical_solves_once(self, capsys, monkeypatch):
+        from choquetrn import cli, solver
+
+        calls = []
+        for module in (cli, solver):
+            def counted(mu, nu, solve=module.solve_rn):
+                calls.append(1)
+                return solve(mu, nu)
+            monkeypatch.setattr(module, "solve_rn", counted)
+        code, out, _ = run(capsys, "example", "classical")
+        assert code == EXIT_PASS
+        assert json.loads(out)["verdicts"]["solver_agrees"] is True
+        assert len(calls) == 1
 
     def test_missing_name_is_input_error(self, capsys, solvable_path):
         code, _, err = run(
@@ -361,6 +396,37 @@ class TestArgumentErrors:
         )
         assert code == EXIT_USAGE
         assert "--out" in err and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["derive", "--mu", "x"],
+        ["solve", "--set", "a"],
+        ["props", "--n", "2"],
+        ["sigma-finite", "--f", "f"],
+        ["sigma-finite", "--f", "json"],
+        ["example", "ex-3-6"],
+    ], ids=" ".join)
+    def test_option_the_command_does_not_read_is_usage_error(
+            self, capsys, solvable_path, argv):
+        # example reads no --input; the others read it but not the option
+        code, out, err = run(capsys, *argv, "--input", solvable_path)
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments" in err and out == ""
+
+    def test_each_command_has_only_the_options_it_reads(self):
+        from choquetrn.cli import _build_parser
+
+        (commands,) = [a for a in _build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: {flag for action in parser._actions
+                   for flag in action.option_strings if action.dest != "help"}
+            for name, parser in commands.choices.items()
+        }
+        common = {"--format", "--seed", "--out"}
+        assert options["derive"] == options["sigma-finite"] == common | {"--input"}
+        assert options["example"] == common | {"--n"}
+        assert options["integrate"] == common | {"--input", "--f", "--nu", "--set"}
+        assert sum(map(len, options.values())) == 61
 
     def test_unknown_set_atom_is_input_error(self, capsys, solvable_path):
         code, _, err = run(

@@ -67,6 +67,26 @@ class TestArithmetic:
     def test_sub_inverts_add(self, a, b):
         assert (ExtReal(a) + ExtReal(b)) - ExtReal(b) == ExtReal(a)
 
+    @pytest.mark.parametrize("other", ["2", " inf ", "1/2", 0.5, None, [1]])
+    def test_arithmetic_with_other_types_raises(self, other):
+        for x in (ExtReal(3), INF):
+            for op in (lambda a, b: a + b, lambda a, b: a * b):
+                with pytest.raises(TypeError):
+                    op(x, other)
+                with pytest.raises(TypeError):
+                    op(other, x)
+            with pytest.raises(TypeError):
+                x - other
+
+    @given(nonneg_fractions, st.one_of(nonneg_fractions,
+                                       st.integers(min_value=0, max_value=100)))
+    def test_plain_operands_match_fractions(self, a, b):
+        x = ExtReal(a)
+        assert x + b == b + x == a + b
+        assert x * b == b * x == a * b
+        if b <= a:
+            assert x - b == a - b
+
 
 class TestOrderAndHelpers:
     def test_infinity_dominates(self):

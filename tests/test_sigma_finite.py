@@ -279,7 +279,7 @@ def _sigma_cases():
 
 
 class TestDistinctTruncatedSets:
-    """One integral per distinct (level, A & U_level) against the per-level loop."""
+    """One integral per distinct A & U_level against the per-level loop."""
 
     def test_matches_per_level_oracle_and_counts_distinct_sets(self, monkeypatch):
         calls = []
@@ -294,13 +294,14 @@ class TestDistinctTruncatedSets:
             calls.clear()
             report = verify_sigma_finite(model, f)
             assert report == per_level_sigma_finite(model, f), label
+            # one integral per distinct truncated mask, on the deepest level
             distinct = {
-                (level, model.restrict_set(A, level).mask)
+                (model.deepest, model.restrict_set(A, level).mask)
                 for A in default_sigma_test_sets(model)
                 for level in range(len(model.depths))
             }
             assert len(calls) == len(distinct), label
-            assert len(set(calls)) == len(calls), label
+            assert set(calls) == distinct, label
             outcomes[report.holds] += 1
         assert outcomes[True] >= 6 and outcomes[False] >= 4, outcomes
 

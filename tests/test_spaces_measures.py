@@ -275,18 +275,25 @@ class TestClosedFormClassifiers:
 
     def test_strong_abs_continuity_matches_scan_oracle(self):
         rng = random.Random(32)
-        outcomes = {True: 0, False: 0, "infinite_nu": 0}
+        outcomes = {True: 0, False: 0, "infinite_nu": 0, "infinite_mu": 0}
+
+        def infinite_above_half(m):
+            # values above half the total become infinite: still monotone
+            cut = m(m.space.full_set) * ExtReal(Fraction(1, 2))
+            return measure_from_table(
+                m.space,
+                {A: INF if m(A) > cut else m(A) for A in m.space.subsets()},
+            )
+
         for _ in range(300):
             mu = self.random_measure(rng)
             nu = random_monotone_measure(mu.space, rng, max_step=1)
             if rng.random() < 0.3:
-                # values above half the total become infinite: still monotone
-                cut = nu(mu.space.full_set) * ExtReal(Fraction(1, 2))
-                nu = measure_from_table(
-                    mu.space,
-                    {A: INF if nu(A) > cut else nu(A) for A in mu.space.subsets()},
-                )
+                nu = infinite_above_half(nu)
                 outcomes["infinite_nu"] += not nu.is_finite
+            if rng.random() < 0.3:
+                mu = infinite_above_half(mu)
+                outcomes["infinite_mu"] += not mu.is_finite
             verdict = strongly_abs_continuous(mu, nu)
             assert verdict == scan_strong_abs_continuity(mu, nu)
             outcomes[verdict.holds] += 1

@@ -217,6 +217,20 @@ def test_error_locations():
     ({"truncations": {"atoms": {"0": 0, "1": 1}, "depths": [1, 2], "measures": {
         "mu": {"rule": "cardinality"}, "nu": {"rule": "cardinality"}}}},
      "truncations"),
+    # an explicit table lists each set once, whatever the order of its atoms
+    ({"atoms": ["a", "b"], "measures": {"m": {"rule": "explicit", "table": [
+        {"set": [], "value": "0"}, {"set": ["a"], "value": "1"},
+        {"set": ["b"], "value": "1"}, {"set": ["a", "b"], "value": "2"},
+        {"set": ["a"], "value": "2"}]}}},
+     "measures.m"),
+    ({"truncations": {"atoms": ["0", "1"], "depths": [1, 2], "measures": {
+        "mu": {"rule": "explicit", "tables": [
+            [{"set": [], "value": "0"}, {"set": ["0"], "value": "1"}],
+            [{"set": [], "value": "0"}, {"set": ["0"], "value": "1"},
+             {"set": ["1"], "value": "1"}, {"set": ["0", "1"], "value": "2"},
+             {"set": ["1", "0"], "value": "2"}]]},
+        "nu": {"rule": "cardinality"}}}},
+     "truncations"),
 ])
 def test_malformed_entries_are_located(data, location):
     """Wrong types and values in any entry give a located SpecFileError."""
