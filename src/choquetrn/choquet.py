@@ -124,9 +124,8 @@ def is_comonotone(f: SimpleFunction, g: SimpleFunction) -> Verdict:
     n = space.n_blocks
     for i in range(n):
         for j in range(i + 1, n):
-            df = f.values[i]._cmp(f.values[j])
-            dg = g.values[i]._cmp(g.values[j])
-            if df * dg < 0:
+            fi, fj, gi, gj = f.values[i], f.values[j], g.values[i], g.values[j]
+            if (fi < fj and gi > gj) or (fi > fj and gi < gj):
                 a = space.block_set(i).atom_names()[0]
                 b = space.block_set(j).atom_names()[0]
                 return Verdict(
@@ -134,7 +133,7 @@ def is_comonotone(f: SimpleFunction, g: SimpleFunction) -> Verdict:
                     witness=Witness(
                         kind="comonotonicity",
                         sets=(space.block_set(i), space.block_set(j)),
-                        values=(f.values[i], f.values[j], g.values[i], g.values[j]),
+                        values=(fi, fj, gi, gj),
                         detail=f"f and g order {a!r} and {b!r} oppositely",
                     ),
                 )

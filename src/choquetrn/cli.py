@@ -108,6 +108,8 @@ def _check_args(args) -> None:
     n = getattr(args, "n", None)
     if n is not None and not 1 <= n <= MAX_N:
         raise _UsageError(f"--n must be an integer from 1 to {MAX_N}")
+    if n is not None and args.command == "example" and args.id != "ex-4-4":
+        raise _UsageError(f"example {args.id} takes no --n; only ex-4-4 reads it")
 
 
 def _need(spec, kind, name):

@@ -28,6 +28,14 @@ def _operand(value):
     return ExtReal(value) if isinstance(value, (int, Fraction)) else NotImplemented
 
 
+def _order_operand(value):
+    """The Fraction of an ExtReal (None for infinity), an int or Fraction as
+    it is, else NotImplemented: order, like arithmetic, parses no strings."""
+    if isinstance(value, ExtReal):
+        return value._frac
+    return value if isinstance(value, (int, Fraction)) else NotImplemented
+
+
 class ExtReal:
     """A nonnegative rational or +infinity; immutable and hashable."""
 
@@ -105,23 +113,6 @@ class ExtReal:
 
     # -- order --------------------------------------------------------------
 
-    def _cmp(self, other):
-        """-1, 0 or 1, or NotImplemented for anything but ExtReal, int or
-        Fraction.  Plain numbers are compared as they are, so every value
-        exceeds a negative number, as ``__eq__`` has it."""
-        if isinstance(other, ExtReal):
-            b = other._frac
-        elif isinstance(other, (int, Fraction)):
-            b = other
-        else:
-            return NotImplemented
-        a = self._frac
-        if a is None:
-            return 0 if b is None else 1
-        if b is None:
-            return -1
-        return (a > b) - (a < b)
-
     def __eq__(self, other):
         # strings and negative numbers are never equal to a value, so that
         # equal objects always hash alike
@@ -131,21 +122,37 @@ class ExtReal:
             return self._frac is not None and self._frac == other
         return NotImplemented
 
+    # Each order operator makes at most one comparison of numbers.  Plain
+    # numbers are compared as they are, so every value exceeds a negative
+    # number, as ``__eq__`` has it; infinity exceeds every number.
+
     def __lt__(self, other):
-        c = self._cmp(other)
-        return c if c is NotImplemented else c < 0
+        b = _order_operand(other)
+        if b is NotImplemented:
+            return b
+        a = self._frac
+        return a is not None and (b is None or a < b)
 
     def __le__(self, other):
-        c = self._cmp(other)
-        return c if c is NotImplemented else c <= 0
+        b = _order_operand(other)
+        if b is NotImplemented:
+            return b
+        a = self._frac
+        return b is None or (a is not None and a <= b)
 
     def __gt__(self, other):
-        c = self._cmp(other)
-        return c if c is NotImplemented else c > 0
+        b = _order_operand(other)
+        if b is NotImplemented:
+            return b
+        a = self._frac
+        return b is not None and (a is None or a > b)
 
     def __ge__(self, other):
-        c = self._cmp(other)
-        return c if c is NotImplemented else c >= 0
+        b = _order_operand(other)
+        if b is NotImplemented:
+            return b
+        a = self._frac
+        return a is None or (b is not None and a >= b)
 
     def __hash__(self):
         return hash(self._frac)

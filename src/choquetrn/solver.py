@@ -11,20 +11,32 @@ integral of such a function over any set A is
 
 so the density equations mu(A) = integral over A become an exact linear
 system in d with nonnegativity constraints.  The solver searches the maximal
-chains in canonical order (lexicographic by removed-atom index), solves each
-system by exact Gaussian elimination over the rationals, and decides
-nonnegativity on the solution manifold by Fourier-Motzkin elimination.  The
-first feasible chain yields the density; if every chain is infeasible the
-pair has no density at all.
+chains in canonical order (lexicographic by removed-atom index), eliminates
+each system exactly, and decides nonnegativity on the solution manifold by
+Fourier-Motzkin elimination.  The first feasible chain yields the density;
+if every chain is infeasible the pair has no density at all.
 
 The search is depth first over removal prefixes and skips whole subtrees.
 Let R_k be the union of the first k removed atoms, 1 <= k <= m - 1.  For
 every A inside R_k the set A & B_i is empty for i >= k, so the equation for A
 involves only d_0, ..., d_{k-1}.  When these prefix equations have no
 nonnegative solution, no chain extending the prefix has one either, and the
-(m + 1 - k)! chains below it are refuted together.  Full chains are still
-solved on all sets and re-verified, so pruning changes neither the verdict
-nor the first feasible chain nor its density.
+(m + 1 - k)! chains below it are refuted together.
+
+The same fact makes the elimination incremental.  Prefix k + 1's system is
+prefix k's plus the equations of the sets holding the newest atom, whose old
+rows have a zero coefficient for d_k; a full chain's system is the deepest
+prefix's plus the sets meeting the last two atoms.  So the reduced echelon
+form is carried from each node of the search to its children and extended by
+the new rows only.  Every mu and nu value is scaled to one common
+denominator, the lcm of the values' denominators, so the rows are Python
+ints and the elimination is fraction-free (Bareiss 1968); Fractions appear
+only when a node's reduced rows are read off as affine expressions for the
+nonnegativity check.  Full chains are still solved on all sets and
+re-verified.  The reduced row echelon form of a system does not depend on
+the order of its rows, so the point found on it, and with it every verdict,
+record, first feasible chain and density, is the one that eliminating each
+system afresh finds, free columns (null atoms) included.
 
 Completeness: any density induces an ordering of algebra atoms by value;
 every maximal chain refining that ordering reproduces it with repeated
@@ -38,8 +50,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import List, Optional, Tuple
+from math import factorial, lcm
+from typing import Optional
 
 from .decomposition import (
     DecompositionFamily,
@@ -65,66 +77,81 @@ from .spaces import MeasurableSet
 
 # -- exact linear feasibility ------------------------------------------------
 
-def _solve_chain_system(rows, n):
-    """Solve {sum_j row[j] * d_j = rhs for each row, d >= 0} exactly.
+def _extend(state, rows):
+    """The elimination state of ``state``'s system plus ``rows``, or None
+    when the rows contradict it.
 
-    ``rows`` yields (coefficients tuple, rhs) with Fraction entries.  Returns
-    a list of Fractions or None when infeasible.
+    Rows are lists of ints: the coefficients of d_0, d_1, ... and the
+    right-hand side last.  The new rows may have more columns than the
+    state's, which are zero in its equations.  A state is ``(lead,
+    pivots)``, a list of (pivot column, row) pairs in reduced form over one
+    common lead: each pivot row holds ``lead`` at its own column and zero at
+    the other pivot columns.
+
+    A new row eliminates to ``lead * row - sum of row[c] * pivot row c``
+    over the pivots, which is zero at every pivot column, so only the other
+    columns and the right-hand side are computed.  A row that leaves a
+    nonzero column becomes a pivot, and the old pivot rows are cleared at its
+    column fraction-free: ``lead`` stays the absolute determinant of the
+    pivot rows' original entries at the pivot columns (Bareiss 1968), so the
+    division by the old lead is exact.  The parent state is never changed,
+    because the sibling nodes of the search extend it too.
     """
-    pivots: List[Tuple[List[Fraction], Fraction]] = []
-    pivot_cols: List[int] = []
-    for coeffs, rhs in rows:
-        vec = list(coeffs)
-        r = rhs
-        for (pvec, prhs), col in zip(pivots, pivot_cols):
-            factor = vec[col]
-            if factor:
-                for j in range(n):
-                    vec[j] -= factor * pvec[j]
-                r -= factor * prhs
-        col = next((j for j in range(n) if vec[j]), None)
-        if col is None:
-            if r:
+    lead, pivots = state
+    rest = None  # the non-pivot columns, the right-hand side last
+    for row in rows:
+        if rest is None:
+            pivots = _widened(pivots, len(row))
+            taken = {c for c, _ in pivots}
+            rest = [j for j in range(len(row)) if j not in taken]
+        reduced = [lead * row[j] - sum([row[c] * p[j] for c, p in pivots])
+                   for j in rest]
+        k = next((i for i in range(len(rest) - 1) if reduced[i]), None)
+        if k is None:
+            if reduced[-1]:
                 return None  # inconsistent equation
             continue
-        inv = Fraction(1) / vec[col]
-        vec = [v * inv for v in vec]
-        r *= inv
-        pivots.append((vec, r))
-        pivot_cols.append(col)
+        new = [0] * len(row)
+        sign = 1 if reduced[k] > 0 else -1
+        for j, x in zip(rest, reduced):
+            new[j] = sign * x
+        col = rest.pop(k)
+        top = new[col]
+        pivots = [
+            (c, [(top * x - p[col] * y) // lead for x, y in zip(p, new)])
+            for c, p in pivots
+        ]
+        pivots.append((col, new))
+        lead = top
+    return lead, pivots
 
-    # back-substitution: express pivot rows over free columns only
-    for i in range(len(pivots) - 1, -1, -1):
-        vec_i, rhs_i = pivots[i]
-        for k in range(i):
-            vec_k, rhs_k = pivots[k]
-            factor = vec_k[pivot_cols[i]]
-            if factor:
-                pivots[k] = (
-                    [a - factor * b for a, b in zip(vec_k, vec_i)],
-                    rhs_k - factor * rhs_i,
-                )
 
-    free_cols = [j for j in range(n) if j not in pivot_cols]
-    k = len(free_cols)
-    free_index = {c: t for t, c in enumerate(free_cols)}
+def _widened(pivots, width):
+    """Copies of the pivot rows with zero columns added before the
+    right-hand side, up to ``width`` entries."""
+    return [(c, p[:-1] + [0] * (width - len(p)) + p[-1:]) for c, p in pivots]
 
-    # each d_j as (const, coeffs over free variables)
-    exprs: List[Tuple[Fraction, List[Fraction]]] = []
+
+def _reduced_point(state, n):
+    """The nonnegative solution in d_0..d_{n-1} that ``_feasible_point``
+    picks on the state's reduced system, as Fractions, or None.
+
+    Each pivot column is an affine expression in the free columns, read off
+    its reduced row.  The reduced form, and with it the point, does not
+    depend on the order in which the rows were eliminated.
+    """
+    lead, pivots = state
+    rows = dict(_widened(pivots, n + 1))
+    free = [j for j in range(n) if j not in rows]
+    exprs = []
     for j in range(n):
-        if j in pivot_cols:
-            i = pivot_cols.index(j)
-            vec, rhs = pivots[i]
-            coeffs = [Fraction(0)] * k
-            for c in free_cols:
-                coeffs[free_index[c]] = -vec[c]
-            exprs.append((rhs, coeffs))
+        row = rows.get(j)
+        if row is None:
+            exprs.append((Fraction(0), tuple(Fraction(int(c == j)) for c in free)))
         else:
-            coeffs = [Fraction(0)] * k
-            coeffs[free_index[j]] = Fraction(1)
-            exprs.append((Fraction(0), coeffs))
-
-    point = _feasible_point([(c, tuple(v)) for c, v in exprs], k)
+            exprs.append((Fraction(row[-1], lead),
+                          tuple(Fraction(-row[c], lead) for c in free)))
+    point = _feasible_point(exprs, len(free))
     if point is None:
         return None
     return [const + sum(cv * xv for cv, xv in zip(coeffs, point))
@@ -237,73 +264,63 @@ def solve_rn(mu: MonotoneMeasure, nu: MonotoneMeasure) -> SolverCertificate:
     nb = space.n_blocks
     blocks = space.blocks
 
+    # every value over one common denominator, so the rows are in ints
     all_masks = [A.mask for A in space.subsets()]
-    mu_frac = {m: mu.value_of_mask(m).as_fraction() for m in all_masks}
-    nu_frac = {m: nu.value_of_mask(m).as_fraction() for m in all_masks}
+    den = lcm(*(m.value_of_mask(A).as_fraction().denominator
+                for m in (mu, nu) for A in all_masks))
 
-    def chain_masks_of(order):
-        masks = [space.full_mask]
-        for idx in order[:-1]:
-            masks.append(masks[-1] & ~blocks[idx])
-        return masks
+    def scaled(m):
+        table = {}
+        for A in all_masks:
+            v = m.value_of_mask(A).as_fraction()
+            table[A] = v.numerator * (den // v.denominator)
+        return table
 
-    def prefix_feasible(prefix):
-        # the equations of the sets inside the removed atoms, in d_0..d_{k-1}.
-        # The removed atoms one by one come first and form a triangular
-        # system; the sets holding the newest atom follow, since the others
-        # already passed with the shorter prefix.
-        chain_masks = chain_masks_of(prefix)
-        removed = [blocks[idx] for idx in prefix]
-        subsets = [0]
-        for block in removed:
-            subsets += [A | block for A in subsets]
-        half = len(subsets) // 2
-        singles = set(removed)
-        ordered = removed + [
-            A for A in subsets[half:] + subsets[1:half] if A not in singles
-        ]
-        rows = (
-            (tuple(nu_frac[A & B] for B in chain_masks), mu_frac[A])
-            for A in ordered
-        )
-        return _solve_chain_system(rows, len(prefix)) is not None
+    mu_int, nu_int = scaled(mu), scaled(nu)
+
+    def rows(sets, chain_masks):
+        # the equations sum_i nu(A & B_i) d_i = mu(A)
+        for A in sets:
+            yield [nu_int[A & B] for B in chain_masks] + [mu_int[A]]
 
     records = []
 
-    def orders(prefix, remaining):
-        # full removal orders in lexicographic order, skipping the subtrees
-        # of infeasible prefixes
-        if len(remaining) <= 1:
-            yield prefix + remaining
+    def orders(prefix, remaining, chain_masks, rest, inside, state):
+        # Full removal orders in lexicographic order, with their chain masks
+        # and elimination states, skipping the subtrees of infeasible
+        # prefixes.  ``rest`` is U minus the removed atoms, ``inside`` every
+        # set inside them, and ``state`` holds the equations of those sets.
+        # A child adds the sets holding its newest atom; a full chain adds
+        # the sets meeting its last one or two atoms.
+        if len(remaining) <= 2:
+            tops = [blocks[idx] for idx in remaining]
+            if len(tops) == 2:
+                tops.append(rest)
+            new = [A | T for A in inside for T in tops]
+            for pos, idx in enumerate(remaining):
+                order = prefix + (idx,) + remaining[:pos] + remaining[pos + 1:]
+                masks = chain_masks + (rest, rest & ~blocks[idx])[:len(remaining)]
+                yield order, masks, _extend(state, rows(new, masks))
             return
         for pos, idx in enumerate(remaining):
             order = prefix + (idx,)
-            rest = remaining[:pos] + remaining[pos + 1:]
-            if len(rest) > 1 and not prefix_feasible(order):
+            masks = chain_masks + (rest,)
+            new = [A | blocks[idx] for A in inside]
+            child = _extend(state, rows(new, masks))
+            if child is None or _reduced_point(child, len(order)) is None:
                 records.append(
                     ChainRecord(removal_order=order, feasible=False,
                                 reason="no nonnegative solution of the prefix system",
-                                chains=factorial(len(rest)))
+                                chains=factorial(len(remaining) - 1))
                 )
                 continue
-            yield from orders(order, rest)
+            yield from orders(order, remaining[:pos] + remaining[pos + 1:],
+                              masks, rest & ~blocks[idx], inside + new, child)
 
-    for order in orders((), tuple(range(nb))):
-        chain_masks = chain_masks_of(order)
-
-        def rows():
-            # chain sets and singletons first: they expose pivots and
-            # contradictions quickly; the remaining sets only confirm.
-            ordered = chain_masks + list(blocks)
-            seen = set(ordered)
-            ordered += [m for m in all_masks if m not in seen]
-            for A_mask in ordered:
-                coeffs = tuple(
-                    nu_frac[A_mask & B] for B in chain_masks
-                )
-                yield coeffs, mu_frac[A_mask]
-
-        d = _solve_chain_system(rows(), nb)
+    for order, chain_masks, state in orders(
+        (), tuple(range(nb)), (), space.full_mask, [0], (1, [])
+    ):
+        d = None if state is None else _reduced_point(state, nb)
         if d is None:
             records.append(
                 ChainRecord(removal_order=order, feasible=False,

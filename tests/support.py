@@ -7,8 +7,11 @@ level-set Choquet oracle is the library's former evaluation (one level-set
 scan per threshold), so it checks the one-sort running-union layers field by
 field; the per-level sigma-finite oracle recomputes every (test set, level)
 integral, so it checks that reusing one integral per distinct truncated set
-changes no record.  The solver oracle tries every maximal chain without pruning, so it checks that
-the library's prefix pruning never skips a feasible chain.  The
+changes no record.  The solver oracle tries every maximal chain without
+pruning and solves each chain's system afresh by the library's former
+one-shot Gaussian elimination over Fractions (``_solve_chain_system``), so it
+checks both that the prefix pruning never skips a feasible chain and that
+the integer elimination carried along the search finds the same point.  The
 decomposition oracle tests every ordered band pair on every set, so it checks
 that deciding each set from its adjacent band pairs loses nothing.  The
 dyadic, null-additivity and strong absolute continuity oracles are the
@@ -23,6 +26,7 @@ import dataclasses
 import json
 from fractions import Fraction
 from itertools import permutations
+from typing import List, Tuple
 
 from choquetrn import (
     ExtReal,
@@ -49,7 +53,7 @@ from choquetrn.sigma_finite import (
     SigmaFiniteReport,
     _polynomial_test_sets,
 )
-from choquetrn.solver import _solve_chain_system
+from choquetrn.solver import _feasible_point
 
 
 def random_space(rng, min_atoms=2, max_atoms=5):
@@ -282,6 +286,72 @@ def per_level_sigma_finite(model, f, test_sets=None):
         records=tuple(records),
         note="truncated limit evidence; equality certified at every finite level",
     )
+
+
+def _solve_chain_system(rows, n):
+    """Solve {sum_j row[j] * d_j = rhs for each row, d >= 0} exactly.
+
+    ``rows`` yields (coefficients tuple, rhs) with Fraction entries.  Returns
+    a list of Fractions or None when infeasible.
+    """
+    pivots: List[Tuple[List[Fraction], Fraction]] = []
+    pivot_cols: List[int] = []
+    for coeffs, rhs in rows:
+        vec = list(coeffs)
+        r = rhs
+        for (pvec, prhs), col in zip(pivots, pivot_cols):
+            factor = vec[col]
+            if factor:
+                for j in range(n):
+                    vec[j] -= factor * pvec[j]
+                r -= factor * prhs
+        col = next((j for j in range(n) if vec[j]), None)
+        if col is None:
+            if r:
+                return None  # inconsistent equation
+            continue
+        inv = Fraction(1) / vec[col]
+        vec = [v * inv for v in vec]
+        r *= inv
+        pivots.append((vec, r))
+        pivot_cols.append(col)
+
+    # back-substitution: express pivot rows over free columns only
+    for i in range(len(pivots) - 1, -1, -1):
+        vec_i, rhs_i = pivots[i]
+        for k in range(i):
+            vec_k, rhs_k = pivots[k]
+            factor = vec_k[pivot_cols[i]]
+            if factor:
+                pivots[k] = (
+                    [a - factor * b for a, b in zip(vec_k, vec_i)],
+                    rhs_k - factor * rhs_i,
+                )
+
+    free_cols = [j for j in range(n) if j not in pivot_cols]
+    k = len(free_cols)
+    free_index = {c: t for t, c in enumerate(free_cols)}
+
+    # each d_j as (const, coeffs over free variables)
+    exprs: List[Tuple[Fraction, List[Fraction]]] = []
+    for j in range(n):
+        if j in pivot_cols:
+            i = pivot_cols.index(j)
+            vec, rhs = pivots[i]
+            coeffs = [Fraction(0)] * k
+            for c in free_cols:
+                coeffs[free_index[c]] = -vec[c]
+            exprs.append((rhs, coeffs))
+        else:
+            coeffs = [Fraction(0)] * k
+            coeffs[free_index[j]] = Fraction(1)
+            exprs.append((Fraction(0), coeffs))
+
+    point = _feasible_point([(c, tuple(v)) for c, v in exprs], k)
+    if point is None:
+        return None
+    return [const + sum(cv * xv for cv, xv in zip(coeffs, point))
+            for const, coeffs in exprs]
 
 
 def exhaustive_solve(mu, nu):

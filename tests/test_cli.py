@@ -372,6 +372,14 @@ class TestArgumentErrors:
         assert code == EXIT_USAGE
         assert "--n" in err and out == ""
 
+    @pytest.mark.parametrize("example, n", [("ex-3-6", "5"), ("classical", "16")])
+    def test_n_on_an_example_that_does_not_read_it_is_usage_error(
+            self, capsys, example, n):
+        # only ex-4-4 reads --n
+        code, out, err = run(capsys, "example", example, "--n", n)
+        assert code == EXIT_USAGE
+        assert "--n" in err and out == ""
+
     def test_float_weight_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "float.json"
         path.write_text(json.dumps({

@@ -1,5 +1,6 @@
 """The extended nonnegative rational kernel."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,42 @@ class TestOrderAndHelpers:
                 x < other
             with pytest.raises(TypeError):
                 other >= x
+
+    @given(st.lists(st.one_of(
+        st.one_of(nonneg_fractions, st.none()).map(ExtReal),
+        st.integers(min_value=-100, max_value=100),
+        st.booleans(),
+        st.fractions(min_value=-100, max_value=100),
+    ), max_size=12))
+    def test_each_operator_agrees_with_fraction_order(self, values):
+        """Every pair of operands, at least one an ExtReal, compares as its
+        Fraction with infinity on top, through all four operators."""
+        def key(v):
+            if isinstance(v, ExtReal):
+                return (1, 0) if not v.is_finite else (0, v.as_fraction())
+            return (0, Fraction(v))
+
+        values = [ExtReal(7), INF] + values
+        for x in values:
+            for y in values:
+                if not (isinstance(x, ExtReal) or isinstance(y, ExtReal)):
+                    continue
+                kx, ky = key(x), key(y)
+                assert (x < y) is (kx < ky)
+                assert (x <= y) is (kx <= ky)
+                assert (x > y) is (kx > ky)
+                assert (x >= y) is (kx >= ky)
+        extreals = [v for v in values if isinstance(v, ExtReal)]
+        assert [key(v) for v in sorted(extreals)] == sorted(map(key, extreals))
+
+    @pytest.mark.parametrize("other", ["2", "inf", 0.5, float("inf"), None])
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge],
+                             ids=lambda op: op.__name__)
+    def test_every_order_operator_rejects_other_types(self, op, other):
+        for x in (ExtReal(1), ZERO, INF):
+            for left, right in ((x, other), (other, x)):
+                with pytest.raises(TypeError):
+                    op(left, right)
 
     def test_as_fraction_raises_on_infinity(self):
         with pytest.raises(OverflowError):
