@@ -4,8 +4,8 @@ Run with:  python3 demos/demo_radon_nikodym.py
 
 Three stories on one stage:
   1. a four-point pair with two genuinely different densities,
-  2. pairs with no density at all, refuted chain by chain and then by
-     whole prefixes of removed atoms,
+  2. pairs with no density at all, refuted by whole prefixes of removed
+     atoms, each with its witness sets,
   3. the decomposition-family machinery that certifies both answers.
 """
 
@@ -57,7 +57,8 @@ def main():
     cert = solve_rn(fx3.mu, fx3.nu)
     print(f"  solvable: {cert.solvable}")
     for record in cert.chain_records:
-        print(f"  chain {record.removal_order}: {record.reason}")
+        print(f"  prefix {record.removal_order}: {record.reason} on "
+              f"{', '.join(map(str, record.sets))}")
     print("  every maximal chain is infeasible, so no nonnegative density")
     print("  exists; note that mu << nu still holds, absolute continuity")
     print("  alone is not enough for monotone measures.")
@@ -71,12 +72,14 @@ def main():
     cert3 = solve_rn(mu3, nu3)
     print(f"  solvable: {cert3.solvable}")
     for record in cert3.chain_records:
-        print(f"  prefix {record.removal_order}: {record.reason} "
+        print(f"  prefix {record.removal_order}: {record.reason} on "
+              f"{', '.join(map(str, record.sets))} "
               f"({record.chains} maximal chains)")
     print(f"  {cert3.chains_refuted} maximal chains refuted by "
-          f"{len(cert3.chain_records)} records: the first removed atom A")
-    print("  would need mu(A) = d_0 * nu(A) = 0, so no chain removing it")
-    print("  first can work, whatever comes after.")
+          f"{len(cert3.chain_records)} records: the first removed atom b")
+    print("  would need Delta_b mu(A) = h_b * Delta_b nu(A) on A = {b}, where")
+    print("  Delta_b m(A) = m(A) - m(A - b), that is 1/3 = h_b * 0, so no")
+    print("  chain removing it first can work, whatever comes after.")
 
     print()
     print("== and one that solves ==")

@@ -4,39 +4,47 @@ Any candidate density on a finite algebra is constant on algebra atoms and is
 determined by a maximal strictly decreasing chain U = B_0 > B_1 > ... > B_m
 (each step removing one algebra atom) together with nondecreasing heights
 h_0 <= h_1 <= ... <= h_m: the function takes value h_i on B_i \\ B_{i+1} and
-h_m on B_m.  Writing d_0 = h_0 >= 0 and d_i = h_i - h_{i-1} >= 0, the Choquet
-integral of such a function over any set A is
+h_m on B_m.
 
-    sum_i d_i * nu(A & B_i),
+The lemma.  Let b be an atom where f is least on a set A (ties allowed).
+Then
 
-so the density equations mu(A) = integral over A become an exact linear
-system in d with nonnegativity constraints.  The solver searches the maximal
-chains in canonical order (lexicographic by removed-atom index), eliminates
-each system exactly, and decides nonnegativity on the solution manifold by
-Fourier-Motzkin elimination.  The first feasible chain yields the density;
-if every chain is infeasible the pair has no density at all.
+    integral_A f dnu - integral_{A \\ b} f dnu = f(b) * (nu(A) - nu(A \\ b)):
 
-The search is depth first over removal prefixes and skips whole subtrees.
-Let R_k be the union of the first k removed atoms, 1 <= k <= m - 1.  For
-every A inside R_k the set A & B_i is empty for i >= k, so the equation for A
-involves only d_0, ..., d_{k-1}.  When these prefix equations have no
-nonnegative solution, no chain extending the prefix has one either, and the
-(m + 1 - k)! chains below it are refuted together.
+for a threshold t <= f(b) the layers of A and of A \\ b are the sets
+themselves, and for t > f(b) they are the same set.
 
-The same fact makes the elimination incremental.  Prefix k + 1's system is
-prefix k's plus the equations of the sets holding the newest atom, whose old
-rows have a zero coefficient for d_k; a full chain's system is the deepest
-prefix's plus the sets meeting the last two atoms.  So the reduced echelon
-form is carried from each node of the search to its children and extended by
-the new rows only.  Every mu and nu value is scaled to one common
-denominator, the lcm of the values' denominators, so the rows are Python
-ints and the elimination is fraction-free (Bareiss 1968); Fractions appear
-only when a node's reduced rows are read off as affine expressions for the
-nonnegativity check.  Full chains are still solved on all sets and
-re-verified.  The reduced row echelon form of a system does not depend on
-the order of its rows, so the point found on it, and with it every verdict,
-record, first feasible chain and density, is the one that eliminating each
-system afresh finds, free columns (null atoms) included.
+The reduction.  Along a chain, the atom of A removed first is least on A.
+So, by induction on the size of A, f is a density iff for every step (R, b)
+of the chain, R the atoms removed before b, and every set A inside U \\ R
+that holds b,
+
+    Delta_b mu(A) = h_b * Delta_b nu(A),   Delta_b m(A) = m(A) - m(A \\ b).
+
+Every Delta is nonnegative, by monotonicity.  Each height is therefore
+forced (one common ratio Delta mu / Delta nu over the sets with
+Delta nu > 0, and Delta mu = 0 wherever Delta nu = 0), free (Delta mu =
+Delta nu = 0 on every such A) or contradicted, and it depends on the set R
+only, not on its order.  A chain carries a density iff none of its heights is
+contradicted and its forced heights are nondecreasing.
+
+The search.  Every mu and nu value is scaled to one common denominator, the
+lcm of the values' denominators, so the tables are Python ints and ratios
+are compared by cross-multiplication.  A backward pass over the subsets R of
+removed atoms fills thr[R], the largest current height (the last forced one)
+from which U can still be reached.  A depth-first search in canonical order
+(lexicographic by removed-atom index) then takes at each node the first
+child whose height is not contradicted and from which thr says U is
+reachable, so it never backtracks and ends at the first feasible chain.  A
+forced height on its path is never below the current height c: the density
+the path ends in is at least c on U \\ R, so for any A there its layers at
+thresholds t <= c are A itself, and Delta_b mu(A) >= c * Delta_b nu(A).
+Each child the search skips is recorded with its witness sets and the
+(m + 1 - k)! maximal chains below it, k the length of its removal order; on
+a refutation the root's children cover all of them.  A free height takes the
+next forced height along the chain, trailing free heights the last forced
+one, and 0 when no height is forced.  The density is re-verified on every
+set.
 
 Completeness: any density induces an ordering of algebra atoms by value;
 every maximal chain refining that ordering reproduces it with repeated
@@ -75,157 +83,25 @@ from .results import Verdict, Witness
 from .spaces import MeasurableSet
 
 
-# -- exact linear feasibility ------------------------------------------------
-
-def _extend(state, rows):
-    """The elimination state of ``state``'s system plus ``rows``, or None
-    when the rows contradict it.
-
-    Rows are lists of ints: the coefficients of d_0, d_1, ... and the
-    right-hand side last.  The new rows may have more columns than the
-    state's, which are zero in its equations.  A state is ``(lead,
-    pivots)``, a list of (pivot column, row) pairs in reduced form over one
-    common lead: each pivot row holds ``lead`` at its own column and zero at
-    the other pivot columns.
-
-    A new row eliminates to ``lead * row - sum of row[c] * pivot row c``
-    over the pivots, which is zero at every pivot column, so only the other
-    columns and the right-hand side are computed.  A row that leaves a
-    nonzero column becomes a pivot, and the old pivot rows are cleared at its
-    column fraction-free: ``lead`` stays the absolute determinant of the
-    pivot rows' original entries at the pivot columns (Bareiss 1968), so the
-    division by the old lead is exact.  The parent state is never changed,
-    because the sibling nodes of the search extend it too.
-    """
-    lead, pivots = state
-    rest = None  # the non-pivot columns, the right-hand side last
-    for row in rows:
-        if rest is None:
-            pivots = _widened(pivots, len(row))
-            taken = {c for c, _ in pivots}
-            rest = [j for j in range(len(row)) if j not in taken]
-        reduced = [lead * row[j] - sum([row[c] * p[j] for c, p in pivots])
-                   for j in rest]
-        k = next((i for i in range(len(rest) - 1) if reduced[i]), None)
-        if k is None:
-            if reduced[-1]:
-                return None  # inconsistent equation
-            continue
-        new = [0] * len(row)
-        sign = 1 if reduced[k] > 0 else -1
-        for j, x in zip(rest, reduced):
-            new[j] = sign * x
-        col = rest.pop(k)
-        top = new[col]
-        pivots = [
-            (c, [(top * x - p[col] * y) // lead for x, y in zip(p, new)])
-            for c, p in pivots
-        ]
-        pivots.append((col, new))
-        lead = top
-    return lead, pivots
-
-
-def _widened(pivots, width):
-    """Copies of the pivot rows with zero columns added before the
-    right-hand side, up to ``width`` entries."""
-    return [(c, p[:-1] + [0] * (width - len(p)) + p[-1:]) for c, p in pivots]
-
-
-def _reduced_point(state, n):
-    """The nonnegative solution in d_0..d_{n-1} that ``_feasible_point``
-    picks on the state's reduced system, as Fractions, or None.
-
-    Each pivot column is an affine expression in the free columns, read off
-    its reduced row.  The reduced form, and with it the point, does not
-    depend on the order in which the rows were eliminated.
-    """
-    lead, pivots = state
-    rows = dict(_widened(pivots, n + 1))
-    free = [j for j in range(n) if j not in rows]
-    exprs = []
-    for j in range(n):
-        row = rows.get(j)
-        if row is None:
-            exprs.append((Fraction(0), tuple(Fraction(int(c == j)) for c in free)))
-        else:
-            exprs.append((Fraction(row[-1], lead),
-                          tuple(Fraction(-row[c], lead) for c in free)))
-    point = _feasible_point(exprs, len(free))
-    if point is None:
-        return None
-    return [const + sum(cv * xv for cv, xv in zip(coeffs, point))
-            for const, coeffs in exprs]
-
-
-def _feasible_point(inequalities, nvars):
-    """Find x with const + coeffs . x >= 0 for every inequality, or None.
-
-    Plain Fourier-Motzkin elimination; fine at this problem scale.
-    """
-    systems = [list(inequalities)]
-    for _ in range(nvars):
-        current = systems[-1]
-        var = nvars - len(systems)  # eliminate the last remaining variable
-        lowers, uppers, rest = [], [], []
-        for const, coeffs in current:
-            c = coeffs[var]
-            if c > 0:
-                lowers.append((const, coeffs))   # x >= -const/c ... lower bound
-            elif c < 0:
-                uppers.append((const, coeffs))
-            else:
-                rest.append((const, coeffs))
-        combined = list(rest)
-        for lc, lv in lowers:
-            for uc, uv in uppers:
-                a, b = lv[var], -uv[var]
-                const = lc * b + uc * a
-                coeffs = tuple(x * b + y * a for x, y in zip(lv, uv))
-                combined.append((const, coeffs))
-        systems.append(combined)
-
-    for const, _ in systems[-1]:
-        if const < 0:
-            return None
-
-    point = [Fraction(0)] * nvars
-    for var in range(nvars - 1, -1, -1):
-        current = systems[nvars - 1 - var]
-        lo, hi = None, None
-        for const, coeffs in current:
-            c = coeffs[var]
-            if c == 0:
-                continue
-            value = const + sum(
-                coeffs[j] * point[j] for j in range(var + 1, nvars)
-            )
-            bound = -value / c
-            if c > 0:
-                lo = bound if lo is None or bound > lo else lo
-            else:
-                hi = bound if hi is None or bound < hi else hi
-        if lo is not None:
-            point[var] = lo
-        elif hi is not None:
-            point[var] = min(hi, Fraction(0))
-        else:
-            point[var] = Fraction(0)
-    return point
-
-
-# -- chain search solver -----------------------------------------------------
+# -- the subset recursion ----------------------------------------------------
 
 @dataclass(frozen=True)
 class ChainRecord:
-    """An infeasible removal order: a full maximal chain, or a prefix whose
-    own equations already fail, standing for the ``chains`` maximal chains
-    that extend it."""
+    """A child the search skips: the removal order ending in its atom, the
+    ``chains`` maximal chains that extend it, and why none of them carries a
+    density.  ``reason`` is one of
+
+    - "contradicted": the step's equations have no common height; ``sets``
+      is one set with Delta nu = 0 != Delta mu, or two sets whose ratios
+      Delta mu / Delta nu differ;
+    - "no completion": U cannot be reached from the new current height;
+      ``sets`` is the set forcing that height, empty when none is forced.
+    """
 
     removal_order: tuple  # block indices in removal order
-    feasible: bool
     reason: str
-    chains: int = 1
+    sets: tuple
+    chains: int
 
 
 @dataclass(frozen=True)
@@ -248,13 +124,18 @@ class SolverCertificate:
         return sum(r.chains for r in self.chain_records)
 
 
+def _le(x, y):
+    """x <= y for heights (numerator, denominator > 0); (1, 0) is infinity."""
+    return x[0] * y[1] <= y[0] * x[1]
+
+
 def solve_rn(mu: MonotoneMeasure, nu: MonotoneMeasure) -> SolverCertificate:
     """Decide whether mu(A) = integral of f d nu for some nonnegative f.
 
     Success certificates carry the density, its level-set family and a full
-    re-verification.  Failure certificates record every infeasible prefix
-    and full chain, which together cover all maximal chains, plus an
-    absolute-continuity witness when one exists.
+    re-verification.  Failure certificates record every child of the root
+    with the reason it fails, which together cover all maximal chains, plus
+    an absolute-continuity witness when one exists.
     """
     if mu.space != nu.space:
         raise SpaceMismatchError("measures live on different spaces")
@@ -262,111 +143,115 @@ def solve_rn(mu: MonotoneMeasure, nu: MonotoneMeasure) -> SolverCertificate:
         raise PreconditionError("the solver requires finite measures")
     space = mu.space
     nb = space.n_blocks
-    blocks = space.blocks
+    full = (1 << nb) - 1
 
-    # every value over one common denominator, so the rows are in ints
-    all_masks = [A.mask for A in space.subsets()]
-    den = lcm(*(m.value_of_mask(A).as_fraction().denominator
-                for m in (mu, nu) for A in all_masks))
+    # tables indexed by block selectors, over one common denominator
+    masks = [0] * (full + 1)
+    for s in range(1, full + 1):
+        low = s & -s
+        masks[s] = masks[s ^ low] | space.blocks[low.bit_length() - 1]
+    values = [[m.value_of_mask(A).as_fraction() for A in masks] for m in (mu, nu)]
+    den = lcm(*(v.denominator for table in values for v in table))
+    mu_t, nu_t = ([v.numerator * (den // v.denominator) for v in table]
+                  for table in values)
 
-    def scaled(m):
-        table = {}
-        for A in all_masks:
-            v = m.value_of_mask(A).as_fraction()
-            table[A] = v.numerator * (den // v.denominator)
-        return table
+    def step(removed, b):
+        """The height of removing b after ``removed`` and its witness sets:
+        (ratio, (A,)) when forced, (None, ()) when free and (None, sets)
+        when contradicted."""
+        bit = 1 << b
+        rest = full & ~removed & ~bit
+        forced = None
+        sub = 0  # the subsets of rest in ascending order
+        while True:
+            A = sub | bit
+            d_mu, d_nu = mu_t[A] - mu_t[sub], nu_t[A] - nu_t[sub]
+            if not d_nu:
+                if d_mu:
+                    return None, (A,)
+            elif forced is None:
+                forced = (d_mu, d_nu), (A,)
+            elif d_mu * forced[0][1] != forced[0][0] * d_nu:
+                return None, forced[1] + (A,)
+            if sub == rest:
+                return forced or (None, ())
+            sub = (sub - rest) & rest
 
-    mu_int, nu_int = scaled(mu), scaled(nu)
-
-    def rows(sets, chain_masks):
-        # the equations sum_i nu(A & B_i) d_i = mu(A)
-        for A in sets:
-            yield [nu_int[A & B] for B in chain_masks] + [mu_int[A]]
-
-    records = []
-
-    def orders(prefix, remaining, chain_masks, rest, inside, state):
-        # Full removal orders in lexicographic order, with their chain masks
-        # and elimination states, skipping the subtrees of infeasible
-        # prefixes.  ``rest`` is U minus the removed atoms, ``inside`` every
-        # set inside them, and ``state`` holds the equations of those sets.
-        # A child adds the sets holding its newest atom; a full chain adds
-        # the sets meeting its last one or two atoms.
-        if len(remaining) <= 2:
-            tops = [blocks[idx] for idx in remaining]
-            if len(tops) == 2:
-                tops.append(rest)
-            new = [A | T for A in inside for T in tops]
-            for pos, idx in enumerate(remaining):
-                order = prefix + (idx,) + remaining[:pos] + remaining[pos + 1:]
-                masks = chain_masks + (rest, rest & ~blocks[idx])[:len(remaining)]
-                yield order, masks, _extend(state, rows(new, masks))
-            return
-        for pos, idx in enumerate(remaining):
-            order = prefix + (idx,)
-            masks = chain_masks + (rest,)
-            new = [A | blocks[idx] for A in inside]
-            child = _extend(state, rows(new, masks))
-            if child is None or _reduced_point(child, len(order)) is None:
-                records.append(
-                    ChainRecord(removal_order=order, feasible=False,
-                                reason="no nonnegative solution of the prefix system",
-                                chains=factorial(len(remaining) - 1))
-                )
+    # thr[R]: the largest current height from which U is reachable, or None
+    thr = [None] * (full + 1)
+    thr[full] = (1, 0)
+    for removed in range(full - 1, -1, -1):
+        for b in range(nb):
+            reach = thr[removed | 1 << b]
+            if removed >> b & 1 or reach is None:
                 continue
-            yield from orders(order, remaining[:pos] + remaining[pos + 1:],
-                              masks, rest & ~blocks[idx], inside + new, child)
+            h, sets = step(removed, b)
+            if h is None and sets or h is not None and not _le(h, reach):
+                continue
+            top = reach if h is None else h
+            if thr[removed] is None or _le(thr[removed], top):
+                thr[removed] = top
 
-    for order, chain_masks, state in orders(
-        (), tuple(range(nb)), (), space.full_mask, [0], (1, [])
-    ):
-        d = None if state is None else _reduced_point(state, nb)
-        if d is None:
-            records.append(
-                ChainRecord(removal_order=order, feasible=False,
-                            reason="no nonnegative solution of the layer system")
-            )
-            continue
+    # the first feasible chain: thr rules out every dead end at once
+    records = []
+    removed, order, path_heights = 0, (), []  # forced heights, None if free
+    current, witness = (0, 1), ()  # the last forced height and its set
+    while removed != full:
+        for b in range(nb):
+            if removed >> b & 1:
+                continue
+            h, sets = step(removed, b)
+            reach = thr[removed | 1 << b]
+            if h is None and sets:
+                reason = "contradicted"
+            elif reach is None or not _le(current if h is None else h, reach):
+                reason, sets = "no completion", witness if h is None else sets
+            else:
+                break
+            records.append(ChainRecord(
+                removal_order=order + (b,), reason=reason,
+                sets=tuple(space.set_from_mask(masks[s]) for s in sets),
+                chains=factorial(nb - len(order) - 1)))
+        else:
+            break  # only at the root: no chain carries a density
+        removed |= 1 << b
+        order += (b,)
+        path_heights.append(h)
+        if h is not None:
+            current, witness = h, sets
 
-        heights = []
-        acc = Fraction(0)
-        for inc in d:
-            acc += inc
-            heights.append(acc)
-        values = [None] * nb
-        for i, B in enumerate(chain_masks):
-            for b in range(nb):
-                if blocks[b] & B == blocks[b]:
-                    values[b] = ExtReal(heights[i])
-        f = SimpleFunction(space, tuple(values))
-        verification = verify_rn(mu, nu, f)
-        if not verification.holds:  # cannot happen: the system covers all sets
-            records.append(
-                ChainRecord(removal_order=order, feasible=False,
-                            reason="solution failed re-verification")
-            )
-            continue
+    if removed != full:
+        ac = abs_continuous(mu, nu)
         return SolverCertificate(
-            solvable=True,
-            function=f,
-            family=family_from_function(f),
-            verification=verification,
-            chain=order,
-            ac_witness=None,
+            solvable=False,
+            function=None,
+            family=None,
+            verification=None,
+            chain=None,
+            ac_witness=None if ac.holds else ac.witness,
             chain_records=tuple(records),
-            note="first feasible chain in canonical order",
+            note="every maximal chain is infeasible",
         )
 
-    ac = abs_continuous(mu, nu)
+    # a free height takes the next forced one, trailing ones the last
+    heights = [None] * nb
+    for b, h in zip(reversed(order), reversed(path_heights)):
+        if h is not None:
+            current = h
+        heights[b] = ExtReal(Fraction(*current))
+    f = SimpleFunction(space, tuple(heights))
+    verification = verify_rn(mu, nu, f)
+    if not verification.holds:  # cannot happen: the steps cover all sets
+        raise RuntimeError("the solver's density failed re-verification")
     return SolverCertificate(
-        solvable=False,
-        function=None,
-        family=None,
-        verification=None,
-        chain=None,
-        ac_witness=None if ac.holds else ac.witness,
+        solvable=True,
+        function=f,
+        family=family_from_function(f),
+        verification=verification,
+        chain=order,
+        ac_witness=None,
         chain_records=tuple(records),
-        note="every maximal chain is infeasible",
+        note="first feasible chain in canonical order",
     )
 
 

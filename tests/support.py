@@ -9,9 +9,11 @@ field; the per-level sigma-finite oracle recomputes every (test set, level)
 integral, so it checks that reusing one integral per distinct truncated set
 changes no record.  The solver oracle tries every maximal chain without
 pruning and solves each chain's system afresh by the library's former
-one-shot Gaussian elimination over Fractions (``_solve_chain_system``), so it
-checks both that the prefix pruning never skips a feasible chain and that
-the integer elimination carried along the search finds the same point.  The
+one-shot Gaussian elimination over Fractions (``_solve_chain_system``) and
+Fourier-Motzkin elimination (``_feasible_point``), so it checks that the
+subset recursion, which reads one equation per set and step instead, never
+skips a feasible chain and picks the same heights.  The record checker
+re-checks each refutation record by table reads alone.  The
 decomposition oracle tests every ordered band pair on every set, so it checks
 that deciding each set from its adjacent band pairs loses nothing.  The
 dyadic, null-additivity and strong absolute continuity oracles are the
@@ -26,6 +28,7 @@ import dataclasses
 import json
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 from typing import List, Tuple
 
 from choquetrn import (
@@ -53,7 +56,6 @@ from choquetrn.sigma_finite import (
     SigmaFiniteReport,
     _polynomial_test_sets,
 )
-from choquetrn.solver import _feasible_point
 
 
 def random_space(rng, min_atoms=2, max_atoms=5):
@@ -288,6 +290,62 @@ def per_level_sigma_finite(model, f, test_sets=None):
     )
 
 
+def _feasible_point(inequalities, nvars):
+    """Find x with const + coeffs . x >= 0 for every inequality, or None.
+
+    Plain Fourier-Motzkin elimination; fine at this problem scale.
+    """
+    systems = [list(inequalities)]
+    for _ in range(nvars):
+        current = systems[-1]
+        var = nvars - len(systems)  # eliminate the last remaining variable
+        lowers, uppers, rest = [], [], []
+        for const, coeffs in current:
+            c = coeffs[var]
+            if c > 0:
+                lowers.append((const, coeffs))   # x >= -const/c ... lower bound
+            elif c < 0:
+                uppers.append((const, coeffs))
+            else:
+                rest.append((const, coeffs))
+        combined = list(rest)
+        for lc, lv in lowers:
+            for uc, uv in uppers:
+                a, b = lv[var], -uv[var]
+                const = lc * b + uc * a
+                coeffs = tuple(x * b + y * a for x, y in zip(lv, uv))
+                combined.append((const, coeffs))
+        systems.append(combined)
+
+    for const, _ in systems[-1]:
+        if const < 0:
+            return None
+
+    point = [Fraction(0)] * nvars
+    for var in range(nvars - 1, -1, -1):
+        current = systems[nvars - 1 - var]
+        lo, hi = None, None
+        for const, coeffs in current:
+            c = coeffs[var]
+            if c == 0:
+                continue
+            value = const + sum(
+                coeffs[j] * point[j] for j in range(var + 1, nvars)
+            )
+            bound = -value / c
+            if c > 0:
+                lo = bound if lo is None or bound > lo else lo
+            else:
+                hi = bound if hi is None or bound < hi else hi
+        if lo is not None:
+            point[var] = lo
+        elif hi is not None:
+            point[var] = min(hi, Fraction(0))
+        else:
+            point[var] = Fraction(0)
+    return point
+
+
 def _solve_chain_system(rows, n):
     """Solve {sum_j row[j] * d_j = rhs for each row, d >= 0} exactly.
 
@@ -396,6 +454,79 @@ def exhaustive_solve(mu, nu):
         assert verify_rn(mu, nu, f).holds
         return order, f
     return None, None
+
+
+def check_chain_records(mu, nu, records):
+    """Re-check every solver record by table reads alone.
+
+    A witness set A belongs to the step of the first block b of the record's
+    removal order that it holds: A lies in U minus the blocks R removed
+    before b, and holds b, so a density along the order must satisfy
+    Delta_b mu(A) = h_b * Delta_b nu(A), with Delta_b m(A) = m(A) - m(A - b).
+    "contradicted" needs its sets at the record's last step, with
+    Delta nu = 0 != Delta mu on one set or unequal cross-products on two.
+    "no completion" is re-checked by trying every order of the blocks left,
+    from the height its set forces (0 without one), with each step decided
+    afresh over all sets.
+    """
+    space = mu.space
+    blocks = space.blocks
+
+    def delta(mask, b):
+        return tuple(m.value_of_mask(mask).as_fraction()
+                     - m.value_of_mask(mask & ~blocks[b]).as_fraction()
+                     for m in (mu, nu))
+
+    steps = {}
+
+    def step(removed, b):
+        """The step's forced ratio, None when free, or "contradicted"."""
+        if (removed, b) not in steps:
+            pairs = [delta(A.mask, b) for A in space.subsets()
+                     if A.mask & blocks[b] and not A.mask & removed]
+            ratios = {d_mu / d_nu for d_mu, d_nu in pairs if d_nu}
+            if len(ratios) > 1 or any(d_nu == 0 != d_mu for d_mu, d_nu in pairs):
+                steps[removed, b] = "contradicted"
+            else:
+                steps[removed, b] = next(iter(ratios), None)
+        return steps[removed, b]
+
+    def completes(removed, remaining, height):
+        for b in remaining:
+            h = step(removed, b)
+            if h == "contradicted" or h is not None and h < height:
+                continue
+            if completes(removed | blocks[b], remaining - {b},
+                         height if h is None else h):
+                return True
+        return not remaining
+
+    for r in records:
+        order = r.removal_order
+        last = len(order) - 1
+        at = []  # the index in the order of each witness set's step
+        for A in r.sets:
+            i = next((i for i, b in enumerate(order) if A.mask & blocks[b]), None)
+            assert i is not None, (r, A)
+            at.append(i)
+        ds = [delta(A.mask, order[i]) for A, i in zip(r.sets, at)]
+        if r.reason == "contradicted":
+            assert at == [last] * len(ds) and len(ds) in (1, 2), r
+            if len(ds) == 1:
+                assert ds[0][1] == 0 != ds[0][0], r
+            else:
+                (mu1, nu1), (mu2, nu2) = ds
+                assert nu1 > 0 and nu2 > 0 and mu1 * nu2 != mu2 * nu1, r
+        else:
+            assert r.reason == "no completion" and len(ds) <= 1, r
+            assert all(d_nu > 0 for _, d_nu in ds), r
+            height = ds[0][0] / ds[0][1] if ds else Fraction(0)
+            removed = 0
+            for b in order:
+                removed |= blocks[b]
+            left = set(range(space.n_blocks)) - set(order)
+            assert not completes(removed, frozenset(left), height), r
+        assert r.chains == factorial(space.n_blocks - len(order)), r
 
 
 def all_pairs_decomposition(mu, nu, family, detail=False):

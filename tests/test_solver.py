@@ -1,7 +1,6 @@
 """Density existence decisions, the chain solver and the additive pathway."""
 
 import random
-from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -36,9 +35,8 @@ from choquetrn import (
     solve_rn,
     verify_rn,
 )
-from choquetrn.solver import _extend, _reduced_point
 from support import (
-    _solve_chain_system,
+    check_chain_records,
     coarsened,
     exhaustive_solve,
     null_heavy_measure,
@@ -64,7 +62,7 @@ class TestSolveRn:
         cert = solve_rn(fx.mu, fx.nu)
         assert not cert.solvable
         assert len(cert.chain_records) == 2  # 2! maximal chains
-        assert all(not r.feasible for r in cert.chain_records)
+        check_chain_records(fx.mu, fx.nu, cert.chain_records)
         assert cert.function is None
 
     def test_constructed_instances_always_solve(self):
@@ -107,12 +105,11 @@ class TestSolveRn:
             nU = nu(space.full_set).as_fraction()
             found = None
             candidates = [Fraction(k, 4) for k in range(0, 65)]
-            for va in candidates:
-                for vb in candidates:
+            for va in [va for va in candidates if va * na == ma]:
+                for vb in [vb for vb in candidates if vb * nb == mb]:
                     lo, hi = min(va, vb), max(va, vb)
                     top = na if va >= vb else nb
-                    full = lo * nU + (hi - lo) * top
-                    if va * na == ma and vb * nb == mb and full == mU:
+                    if lo * nU + (hi - lo) * top == mU:
                         found = (va, vb)
                         break
                 if found:
@@ -178,8 +175,8 @@ def _extends(order, prefix):
 
 def _check_against_exhaustive(mu, nu, kind):
     """The pruned search finds the exhaustive search's chain and density,
-    and its records rule out exactly the chains tried before it; returns
-    the number of prefix records."""
+    its records pass the independent checker and rule out exactly the
+    chains tried before it; returns the number of prefix records."""
     n = mu.space.n_blocks
     chain, function = exhaustive_solve(mu, nu)
     cert = solve_rn(mu, nu)
@@ -191,10 +188,7 @@ def _check_against_exhaustive(mu, nu, kind):
 
     records = cert.chain_records
     orders = [r.removal_order for r in records]
-    assert not any(r.feasible for r in records)
-    assert all(
-        r.chains == factorial(n - len(r.removal_order)) for r in records
-    )
+    check_chain_records(mu, nu, records)
     assert not any(
         p != q and _extends(q, p) for p in orders for q in orders
     )
@@ -243,6 +237,18 @@ class TestPrefixPruning:
                 pruned += _check_against_exhaustive(mu, nu, kind)
         assert null_atoms > 0 and pruned > 0
 
+    def test_null_heavy_pair_skips_one_path_of_children(self):
+        """A 9-atom null-heavy pair with a density: the search never
+        backtracks, so it skips at most nb(nb-1)/2 children."""
+        rng = random.Random(9)
+        space = build_space([f"x{i}" for i in range(9)])
+        nu = null_heavy_measure(space, rng)
+        mu = indefinite_integral_measure(random_simple_function(space, rng), nu)
+        cert = solve_rn(mu, nu)
+        assert cert.solvable
+        assert verify_rn(mu, nu, cert.function).holds
+        assert len(cert.chain_records) <= 36
+
     def test_prefix_records_cover_the_subtree(self):
         """mu(A) = |A|/3 against the indicator of U: no single atom can carry
         mass, so each first removal is refuted at once for 2! chains."""
@@ -254,91 +260,6 @@ class TestPrefixPruning:
         assert [r.removal_order for r in cert.chain_records] == [(0,), (1,), (2,)]
         assert [r.chains for r in cert.chain_records] == [2, 2, 2]
         assert cert.chains_refuted == 6
-
-
-def _random_rows(rng, width, point, count):
-    """Integer rows over ``width`` columns, right-hand side last: random
-    combinations of a random basis of rank at most ``width`` (so columns are
-    often free), zero rows among them, each row's right-hand side its value
-    at ``point``, one time in ten off by one."""
-    basis = [[rng.randrange(-2, 4) for _ in range(width)]
-             for _ in range(rng.randrange(width + 1))]
-    rows = []
-    for _ in range(count):
-        coeffs = [0] * width
-        if rng.random() < 0.8:
-            for b in basis:
-                m = rng.randrange(-2, 3)
-                coeffs = [c + m * x for c, x in zip(coeffs, b)]
-        rhs = sum(c * x for c, x in zip(coeffs, point)) + (rng.random() < 0.1)
-        scale = Fraction(rhs).denominator * rng.randrange(1, 3)
-        rows.append([c * scale for c in coeffs] + [int(rhs * scale)])
-    return rows
-
-
-def _one_shot(rows, n):
-    """The former elimination of the whole system at once, rows padded."""
-    return _solve_chain_system(
-        [(tuple(Fraction(c) for c in row[:-1]) + (Fraction(0),) * (n + 1 - len(row)),
-          Fraction(row[-1])) for row in rows],
-        n,
-    )
-
-
-class TestIncrementalElimination:
-    """``_extend`` and ``_reduced_point`` against the former one-shot
-    elimination (``support._solve_chain_system``), on random integer
-    systems whose rows are given in a shuffled order and in two steps."""
-
-    def test_matches_one_shot_elimination(self):
-        rng = random.Random(4100)
-        seen = Counter()
-        for _ in range(600):
-            n = rng.randrange(0, 6)
-            k = rng.randrange(0, n + 1)  # the parent's columns
-            point = [Fraction(rng.randrange(-1, 4), rng.choice((1, 2, 3)))
-                     for _ in range(n)]
-            # the parent's rows are zero past its k columns, as in the search
-            parent_rows = _random_rows(rng, k, point, rng.randrange(0, 6))
-            first = _random_rows(rng, n, point, rng.randrange(0, 6))
-            second = _random_rows(rng, n, point, rng.randrange(0, 6))
-
-            parent = _extend((1, []), rng.sample(parent_rows, len(parent_rows)))
-            expected = _one_shot(parent_rows, k)
-            if parent is None:
-                assert expected is None
-                seen["inconsistent"] += 1
-                continue
-            assert _reduced_point(parent, k) == expected
-            # siblings extend the same parent; neither may see the other's rows
-            children = [
-                (rows, _extend(parent, rng.sample(rows, len(rows))))
-                for rows in (first, second)
-            ]
-            assert _reduced_point(parent, k) == expected
-            for rows, child in children:
-                expected_child = _one_shot(parent_rows + rows, n)
-                if child is None:
-                    assert expected_child is None
-                    seen["inconsistent"] += 1
-                    continue
-                point_found = _reduced_point(child, n)
-                assert point_found == expected_child
-                seen["infeasible" if point_found is None else "feasible"] += 1
-                seen["free columns"] += len(dict(child[1])) < n
-                seen["zero rows"] += any(not any(r[:-1]) for r in rows)
-        assert min(seen[key] for key in (
-            "inconsistent", "infeasible", "feasible", "free columns", "zero rows"
-        )) >= 20, seen
-
-    def test_parent_state_is_left_as_it_was(self):
-        state = _extend((1, []), [[2, 0, 4]])
-        snapshot = repr(state)
-        assert _extend(state, [[1, 1, 5]]) is not None
-        assert _extend(state, [[0, 1, -1]]) is not None
-        assert _extend(state, [[1, 0, 3]]) is None
-        assert repr(state) == snapshot
-        assert _reduced_point(state, 1) == [Fraction(2)]
 
 
 class TestHahn:
