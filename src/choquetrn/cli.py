@@ -287,7 +287,10 @@ def _sigma_finite(model, report: dict):
     v["finite_ae"] = glue.finite_ae
     if glue.function is not None:
         t["function"] = glue.function
-        v["verify"] = verify_sigma_finite(model, glue.function).holds
+        result = verify_sigma_finite(model, glue.function)
+        v["verify"] = result.holds
+        if result.sampled:
+            t.setdefault("notes", {})["verify"] = result.note
     return glue.function
 
 

@@ -28,8 +28,20 @@ the band sets S_k decrease.  For p < q the drops add up:
 dmu_{p,q} = sum_{k=p}^{q-1} hi_k * dnu_k with hi_p <= hi_k <= hi_{q-1} = lo_q,
 hence hi_p * dnu_{p,q} <= dmu_{p,q} <= lo_q * dnu_{p,q}.  Bands with equal
 sets (a zero-plus set equal to U or to A_1) drop nothing: 0 <= 0 <= 0.  So a
-set fails some band pair iff it fails an adjacent one, and each set costs one
-measure lookup per band and measure instead of four per band pair.
+set fails some band pair iff it fails an adjacent one.
+
+One equation per set decides all the adjacent pairs.  For a nonempty set B
+let k(B) be the last band whose set contains B.  The adjacent pair (k, k+1)
+on A says something only when the cut B = A & S_k differs from A & S_{k+1} =
+B & S_{k+1}, and then k(B) = k exactly.  So the adjacent-pair equalities of
+all sets are exactly the equations, one per B with k(B) below the tail band,
+
+    mu(B) - mu(B & S_{k+1}) = hi_k * (nu(B) - nu(B & S_{k+1})),  k = k(B),
+
+and each B is its own cut (take A = B).  The first failing set in canonical
+order is therefore the first failing B, since each cut of A is a submask of
+A and comes no later: the witness, built from that set's band pairs, is the
+one the per-set adjacent check finds.
 """
 
 from __future__ import annotations
@@ -39,12 +51,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
+from .choquet import integral_fractions
 from .errors import InvalidFamilyError, PreconditionError, SpaceMismatchError
 from .extreal import ExtReal, INF, ZERO
 from .functions import SimpleFunction
 from .measures import MonotoneMeasure
 from .results import Witness
-from .spaces import MeasurableSet, MeasurableSpace
+from .spaces import MeasurableSet, MeasurableSpace, selector_masks
 
 
 @dataclass(frozen=True)
@@ -247,6 +260,14 @@ def _pair_record(A, bands, p, q, nu_values, mu_values) -> PairRecord:
     )
 
 
+def _pair_records(A, bands, pairs, band_masks, mu_t, nu_t):
+    """The records of every band pair on A, read from the Fraction tables."""
+    cuts = [A.mask & S for S in band_masks]
+    nu_values = [nu_t[c] for c in cuts]
+    mu_values = [mu_t[c] for c in cuts]
+    return (_pair_record(A, bands, p, q, nu_values, mu_values) for p, q in pairs)
+
+
 def check_decomposition(
     mu: MonotoneMeasure,
     nu: MonotoneMeasure,
@@ -257,12 +278,17 @@ def check_decomposition(
     rational threshold pairs, plus the vanishing-tail condition.
 
     The rational quantification reduces to one inequality pair per ordered
-    band pair, and those to the adjacent band pairs (see module docstring):
-    each set is decided by one measure lookup per band and measure.
-    ``checked_pairs`` counts the band pairs the verdict covers; the witness
-    is the first failing band pair, in lexicographic order, on the first
-    failing set.  ``detail`` adds one record per band pair and set.
-    Requires finite measures.
+    band pair, and those to one equation per set (see module docstring): a
+    nonempty set B whose last band k(B) is below the tail band must satisfy
+    mu(B) - mu(B & S_{k+1}) = hi_k * (nu(B) - nu(B & S_{k+1})).  k(B) is the
+    least of its blocks' last bands, kept by the lowest-bit recurrence over
+    block selectors.  ``checked_pairs`` counts the band pairs the verdict
+    covers; the witness is the first failing band pair, in lexicographic
+    order, on the first failing set in canonical order.  That set is the
+    first failing B: every failing set A fails at some cut B = A & S_k, a
+    submask of A that comes no later, and every failing B fails as a set.
+    ``detail`` adds one record per band pair and set.  Requires finite
+    measures.
     """
     space = family.space
     if mu.space != space or nu.space != space:
@@ -281,70 +307,78 @@ def check_decomposition(
         if bands[p].set != bands[q].set
     ]
     band_masks = [band.set.mask for band in bands]
-    # hi of band k is lo of band k + 1, so the adjacent sandwich is an equality
-    his = [band.hi for band in bands[:-1]]
+    mu_t, nu_t = mu.fractions(), nu.fractions()
+
+    # the last band of each block; band sets decrease, so the bands holding
+    # a block are 0..k, and those holding a set are 0..(least k of its blocks)
+    tail = nb - 1
+    block_band = [
+        max(k for k, S in enumerate(band_masks) if block & S == block)
+        for block in space.blocks
+    ]
+    masks = selector_masks(space.blocks)
+    last = [tail] * len(masks)
+    failing = None
+    for s in range(1, len(masks)):
+        low = s & -s
+        k = last[s] = min(block_band[low.bit_length() - 1], last[s ^ low])
+        if k < tail:
+            B = masks[s]
+            C = B & band_masks[k + 1]
+            if mu_t[B] - mu_t[C] != bands[k].hi * (nu_t[B] - nu_t[C]):
+                failing = MeasurableSet(space, B)
+                break
 
     witness = None
-    holds = True
-    records = []
-    n_sets = 0
-    for A in space.subsets():
-        n_sets += 1
-        cuts = [A.mask & S for S in band_masks]
-        nu_values = [nu.value_of_mask(c).as_fraction() for c in cuts]
-        mu_values = [mu.value_of_mask(c).as_fraction() for c in cuts]
-        if detail:
-            records.extend(
-                _pair_record(A, bands, p, q, nu_values, mu_values)
-                for p, q in pairs
-            )
-        if holds and not all(
-            mu_values[k] - mu_values[k + 1] == hi * (nu_values[k] - nu_values[k + 1])
-            for k, hi in enumerate(his)
-            if cuts[k] != cuts[k + 1]
-        ):
-            holds = False
-            pair_records = (
-                _pair_record(A, bands, p, q, nu_values, mu_values) for p, q in pairs
-            )
-            first = next(r for r in pair_records if not r.ok)
-            side = "left" if first.left > first.middle else "right"
-            # monotonicity makes all three quantities nonnegative
-            witness = Witness(
-                kind="decomposition-inequality",
-                sets=(A, bands[first.lower_band].set, bands[first.upper_band].set),
-                values=(ExtReal(first.left), ExtReal(first.middle),
-                        ExtReal(first.right)),
-                detail=(
-                    f"{side} inequality fails on A={A}: "
-                    f"{first.left} <= {first.middle} <= {first.right} with "
-                    f"coefficients [{first.left_coefficient}, "
-                    f"{first.right_coefficient}]"
-                ),
-            )
+    if failing is not None:
+        first = next(
+            r for r in _pair_records(failing, bands, pairs, band_masks, mu_t, nu_t)
+            if not r.ok
+        )
+        side = "left" if first.left > first.middle else "right"
+        # monotonicity makes all three quantities nonnegative
+        witness = Witness(
+            kind="decomposition-inequality",
+            sets=(failing, bands[first.lower_band].set, bands[first.upper_band].set),
+            values=(ExtReal(first.left), ExtReal(first.middle),
+                    ExtReal(first.right)),
+            detail=(
+                f"{side} inequality fails on A={failing}: "
+                f"{first.left} <= {first.middle} <= {first.right} with "
+                f"coefficients [{first.left_coefficient}, "
+                f"{first.right_coefficient}]"
+            ),
+        )
+    records = ()
+    if detail:
+        records = tuple(
+            record
+            for A in space.subsets()
+            for record in _pair_records(A, bands, pairs, band_masks, mu_t, nu_t)
+        )
 
-    tail = family.tail_set
-    tail_mu = mu(tail)
-    tail_nu = nu(tail)
+    tail_set = family.tail_set
+    tail_mu = mu(tail_set)
+    tail_nu = nu(tail_set)
     tail_ok = tail_mu == ZERO and tail_nu == ZERO
     if not tail_ok and witness is None:
         witness = Witness(
             kind="decomposition-tail",
-            sets=(tail,),
+            sets=(tail_set,),
             values=(tail_mu, tail_nu),
             detail="the family tail must be null under both measures",
         )
 
     return DecompositionReport(
-        holds=holds and tail_ok,
+        holds=failing is None and tail_ok,
         witness=witness,
-        tail_set=tail,
+        tail_set=tail_set,
         tail_mu=tail_mu,
         tail_nu=tail_nu,
         tail_ok=tail_ok,
         checked_pairs=len(pairs),
-        checked_sets=n_sets,
-        records=tuple(records),
+        checked_sets=len(masks),
+        records=records,
     )
 
 
@@ -410,19 +444,19 @@ class RnReport:
 
 
 def verify_rn(mu: MonotoneMeasure, nu: MonotoneMeasure, f: SimpleFunction) -> RnReport:
-    from .choquet import choquet_value
-
+    """Compare mu with the integral table of f, one lemma step per set (see
+    ``choquet.integral_fractions``); failures are listed in canonical order."""
     if mu.space != nu.space or f.space != mu.space:
         raise SpaceMismatchError("inputs live on different spaces")
-    failures = []
-    checked = 0
-    for A in mu.space.subsets():
-        checked += 1
-        lhs = mu(A)
-        rhs = choquet_value(f, nu, A)
-        if lhs != rhs:
-            failures.append((A, lhs, rhs))
-    return RnReport(holds=not failures, failures=tuple(failures), checked=checked)
+    space = mu.space
+    integral = integral_fractions(f, nu)
+    mu_t = mu.fractions()
+    failures = tuple(
+        (MeasurableSet(space, A), mu.value_of_mask(A), ExtReal(integral[A]))
+        for A in selector_masks(space.blocks)
+        if mu_t[A] != integral[A]
+    )
+    return RnReport(holds=not failures, failures=failures, checked=space.n_subsets())
 
 
 def lemma_tail_check(

@@ -9,13 +9,14 @@ construction and skip the scan.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import groupby
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Optional
 
 from .errors import InvalidMeasureError, SpaceMismatchError
 from .extreal import ExtReal, INF, ZERO, ext_max, ext_min, ext_sum
 from .results import Verdict, Witness
-from .spaces import MeasurableSet, MeasurableSpace
+from .spaces import MeasurableSet, MeasurableSpace, selector_masks
 
 
 class MonotoneMeasure:
@@ -51,18 +52,22 @@ class MonotoneMeasure:
             )
         # Checking each set against its covers (add one block) implies full
         # monotonicity, since every inclusion factors through covers.
-        for A in self.space.subsets():
-            vA = self._table[A.mask]
-            for block in self.space.blocks:
-                if A.mask & block:
+        values = self.fractions()
+        blocks = self.space.blocks
+        for A in selector_masks(blocks):
+            a = values[A]
+            for block in blocks:
+                if A & block:
                     continue
-                B = MeasurableSet(self.space, A.mask | block)
-                vB = self._table[B.mask]
-                if vA > vB:
+                b = values[A | block]
+                if b is not None and (a is None or a > b):
+                    small = MeasurableSet(self.space, A)
+                    large = MeasurableSet(self.space, A | block)
+                    vA, vB = self._table[A], self._table[A | block]
                     raise InvalidMeasureError(
-                        f"monotonicity violated: m({A}) = {vA} > {vB} = m({B})",
+                        f"monotonicity violated: m({small}) = {vA} > {vB} = m({large})",
                         witness=Witness(
-                            kind="monotonicity", sets=(A, B), values=(vA, vB)
+                            kind="monotonicity", sets=(small, large), values=(vA, vB)
                         ),
                     )
 
@@ -73,6 +78,10 @@ class MonotoneMeasure:
 
     def value_of_mask(self, mask: int) -> ExtReal:
         return self._table[mask]
+
+    def fractions(self) -> Dict[int, Optional[Fraction]]:
+        """The table as mask -> Fraction, None standing for infinity."""
+        return {mask: v._frac for mask, v in self._table.items()}
 
     @property
     def is_finite(self) -> bool:

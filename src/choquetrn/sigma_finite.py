@@ -266,6 +266,7 @@ class SigmaFiniteReport:
     holds: bool
     records: tuple
     note: str
+    sampled: bool  # the default test sets were a sample, not every set
 
     def __bool__(self):
         return self.holds
@@ -283,15 +284,19 @@ def verify_sigma_finite(
     once per distinct set A & U_n, on the deepest truncation: over a set B
     inside U_n it reads only f on B and nu on subsets of B, where every
     level's nu agrees (``make_truncation_model`` checks it), so it is the
-    level-n integral.  mu(A & U_n) is read from each level's own mu."""
+    level-n integral.  mu(A & U_n) is read from each level's own mu.
+
+    Past ``_EXHAUSTIVE_LIMIT`` blocks the default test sets are the
+    polynomial family, a sample: the report then says it is evidence, not a
+    certificate."""
     deepest = model.deepest
     if f.space != deepest:
         raise PreconditionError("f must live on the deepest truncation")
-    if test_sets is None:
-        if deepest.n_blocks <= _EXHAUSTIVE_LIMIT:
-            test_sets = list(deepest.subsets())
-        else:
-            test_sets = _polynomial_test_sets(deepest)
+    sampled = test_sets is None and deepest.n_blocks > _EXHAUSTIVE_LIMIT
+    if sampled:
+        test_sets = _polynomial_test_sets(deepest)
+    elif test_sets is None:
+        test_sets = list(deepest.subsets())
 
     nu = model.nus[-1]
     prefixes = [(1 << depth) - 1 for depth in model.depths]
@@ -324,5 +329,12 @@ def verify_sigma_finite(
     return SigmaFiniteReport(
         holds=holds,
         records=tuple(records),
-        note="truncated limit evidence; equality certified at every finite level",
+        note=(
+            f"truncated limit evidence; equality checked on {len(records)} "
+            "sampled sets at every finite level, which is evidence, not a "
+            "certificate"
+            if sampled else
+            "truncated limit evidence; equality certified at every finite level"
+        ),
+        sampled=sampled,
     )

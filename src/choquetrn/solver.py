@@ -80,7 +80,7 @@ from .extreal import ExtReal, ZERO
 from .functions import AeComparison, SimpleFunction, equal_ae
 from .measures import MonotoneMeasure, abs_continuous
 from .results import Verdict, Witness
-from .spaces import MeasurableSet
+from .spaces import MeasurableSet, selector_masks
 
 
 # -- the subset recursion ----------------------------------------------------
@@ -146,10 +146,7 @@ def solve_rn(mu: MonotoneMeasure, nu: MonotoneMeasure) -> SolverCertificate:
     full = (1 << nb) - 1
 
     # tables indexed by block selectors, over one common denominator
-    masks = [0] * (full + 1)
-    for s in range(1, full + 1):
-        low = s & -s
-        masks[s] = masks[s ^ low] | space.blocks[low.bit_length() - 1]
+    masks = selector_masks(space.blocks)
     values = [[m.value_of_mask(A).as_fraction() for A in masks] for m in (mu, nu)]
     den = lcm(*(v.denominator for table in values for v in table))
     mu_t, nu_t = ([v.numerator * (den // v.denominator) for v in table]

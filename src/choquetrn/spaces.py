@@ -22,6 +22,16 @@ def _popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
+def selector_masks(blocks: Sequence[int]) -> list:
+    """The point mask of every block selector s, by the lowest-bit
+    recurrence: entry s is the union of ``blocks[i]`` over the bits i of s."""
+    masks = [0] * (1 << len(blocks))
+    for s in range(1, len(masks)):
+        low = s & -s
+        masks[s] = masks[s ^ low] | blocks[low.bit_length() - 1]
+    return masks
+
+
 def _names(value, what: str = "atom names") -> tuple:
     # a string is a sequence of characters and an object a collection of
     # keys, never a list
@@ -97,15 +107,7 @@ class MeasurableSpace:
 
     def subsets(self) -> Iterator["MeasurableSet"]:
         """All measurable sets in canonical order (block-subset counting)."""
-        for selector in range(1 << self.n_blocks):
-            mask = 0
-            bits = selector
-            i = 0
-            while bits:
-                if bits & 1:
-                    mask |= self.blocks[i]
-                bits >>= 1
-                i += 1
+        for mask in selector_masks(self.blocks):
             yield MeasurableSet(self, mask)
 
     def n_subsets(self) -> int:

@@ -5,9 +5,12 @@ library (descending rank telescoping instead of threshold layers), so
 agreement between the two is a real cross-check, not a tautology.  The
 level-set Choquet oracle is the library's former evaluation (one level-set
 scan per threshold), so it checks the one-sort running-union layers field by
-field; the per-level sigma-finite oracle recomputes every (test set, level)
-integral, so it checks that reusing one integral per distinct truncated set
-changes no record.  The solver oracle tries every maximal chain without
+field.  The per-set integral oracles call the library's ``choquet_value``
+once per set, the loop that the one-pass integral table (one lemma step per
+set) replaces in ``indefinite_integral_measure`` and ``verify_rn``.  The
+per-level sigma-finite oracle recomputes every (test set, level) integral,
+so it checks that reusing one integral per distinct truncated set changes
+no record.  The solver oracle tries every maximal chain without
 pruning and solves each chain's system afresh by the library's former
 one-shot Gaussian elimination over Fractions (``_solve_chain_system``) and
 Fourier-Motzkin elimination (``_feasible_point``), so it checks that the
@@ -15,7 +18,7 @@ subset recursion, which reads one equation per set and step instead, never
 skips a feasible chain and picks the same heights.  The record checker
 re-checks each refutation record by table reads alone.  The
 decomposition oracle tests every ordered band pair on every set, so it checks
-that deciding each set from its adjacent band pairs loses nothing.  The
+that one equation per set, from its last band to the next, loses nothing.  The
 dyadic, null-additivity and strong absolute continuity oracles are the
 direct loops over the definitions (the grid of dyadic left limits, all pairs
 of sets, every set per epsilon) that the library's closed forms replace.
@@ -43,11 +46,12 @@ from choquetrn import (
     ZERO,
     additive_measure,
     build_space,
+    choquet_value,
     measure_from_table,
     verify_rn,
 )
 from choquetrn.choquet import IntegralBreakdown
-from choquetrn.decomposition import DecompositionReport, PairRecord
+from choquetrn.decomposition import DecompositionReport, PairRecord, RnReport
 from choquetrn.errors import PreconditionError, SpaceMismatchError
 from choquetrn.report import _all_digits
 from choquetrn.sigma_finite import (
@@ -242,6 +246,23 @@ def level_set_choquet_integral(f, nu, A=None):
     )
 
 
+def per_set_integral_table(f, nu):
+    """mask -> integral of f over the set, one full Choquet integral per set:
+    the loop the library's one-pass integral table replaces."""
+    return {A.mask: choquet_value(f, nu, A) for A in f.space.subsets()}
+
+
+def per_set_verify_rn(mu, nu, f):
+    """verify_rn by one full Choquet integral per set, in canonical order."""
+    failures = []
+    for A in mu.space.subsets():
+        lhs, rhs = mu(A), choquet_value(f, nu, A)
+        if lhs != rhs:
+            failures.append((A, lhs, rhs))
+    return RnReport(holds=not failures, failures=tuple(failures),
+                    checked=mu.space.n_subsets())
+
+
 def default_sigma_test_sets(model):
     """The test sets verify_sigma_finite uses when none are given."""
     deepest = model.deepest
@@ -256,6 +277,7 @@ def per_level_sigma_finite(model, f, test_sets=None):
     deepest = model.deepest
     if f.space != deepest:
         raise PreconditionError("f must live on the deepest truncation")
+    sampled = test_sets is None and deepest.n_blocks > _EXHAUSTIVE_LIMIT
     if test_sets is None:
         test_sets = default_sigma_test_sets(model)
 
@@ -283,10 +305,14 @@ def per_level_sigma_finite(model, f, test_sets=None):
             )
         )
         holds = holds and equal and nondecreasing
+    if sampled:
+        note = (f"truncated limit evidence; equality checked on {len(records)} "
+                "sampled sets at every finite level, which is evidence, not a "
+                "certificate")
+    else:
+        note = "truncated limit evidence; equality certified at every finite level"
     return SigmaFiniteReport(
-        holds=holds,
-        records=tuple(records),
-        note="truncated limit evidence; equality certified at every finite level",
+        holds=holds, records=tuple(records), note=note, sampled=sampled
     )
 
 

@@ -29,6 +29,8 @@ from support import (
     infinite_measure,
     level_set_choquet_integral,
     null_heavy_measure,
+    per_set_integral_table,
+    per_set_verify_rn,
     random_monotone_measure,
     random_simple_function,
     random_space,
@@ -245,6 +247,51 @@ class TestOneSortLayerCake:
         for key in ("tie", "zero", "inf", "null layer", "infinite layer", "inf on null"):
             assert seen[key] >= 100, (key, seen)
         assert seen["coarsened"] == 120
+
+
+class TestIntegralTable:
+    """The one-pass integral table, and verify_rn reading it, against one
+    Choquet integral per set."""
+
+    def test_matches_per_set_oracle(self):
+        from choquetrn import SimpleFunction, verify_rn
+
+        rng = random.Random(4242)
+        seen = Counter()
+        for trial in range(450):
+            space = random_space(rng, 1, 5)
+            if trial % 2:
+                space = coarsened(space, rng)
+            make_nu = (random_monotone_measure, null_heavy_measure,
+                       infinite_measure)[trial % 3]
+            nu = make_nu(space, rng)
+            f = SimpleFunction(space, tuple(
+                rng.choice(TestOneSortLayerCake.POOL) for _ in range(space.n_blocks)
+            ))
+            mu = indefinite_integral_measure(f, nu)
+            assert {A.mask: mu(A) for A in space.subsets()} == \
+                per_set_integral_table(f, nu)
+
+            # a bump on the sets that hold one block keeps mu monotone
+            block = rng.choice(space.blocks)
+            bump = ExtReal(rng.choice((Fraction(1, 3), 1)))
+            bumped = measure_from_table(space, {
+                A: mu(A) + bump if A.mask & block else mu(A)
+                for A in space.subsets()
+            })
+            for candidate in (mu, bumped, make_nu(space, rng)):
+                got = verify_rn(candidate, nu, f)
+                assert got == per_set_verify_rn(candidate, nu, f)
+                seen["failing"] += not got.holds
+            values = [v for v in f.values if v.is_finite and v != ZERO]
+            seen["tie"] += len(values) > len(set(values))
+            seen["zero"] += ZERO in f.values
+            seen["inf"] += INF in f.values
+            seen["infinite nu"] += not nu.is_finite
+            seen["infinite integral"] += not mu.is_finite
+        for key in ("tie", "zero", "inf", "infinite nu", "infinite integral"):
+            assert seen[key] >= 80, (key, seen)
+        assert seen["failing"] >= 450, seen
 
 
 def test_indefinite_integral_is_a_monotone_measure():

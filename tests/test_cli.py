@@ -262,6 +262,16 @@ class TestCommands:
             assert code == EXIT_PASS, name
             assert json.loads(out)["pass"] is True
 
+    def test_ex_4_4_notes_a_sampled_verification(self, capsys):
+        # 14 points are past the exhaustive limit: the test sets are a sample
+        code, out, _ = run(capsys, "example", "ex-4-4", "--n", "13")
+        assert code == EXIT_PASS
+        note = json.loads(out)["tables"]["notes"]["verify"]
+        assert "sampled sets" in note and "evidence, not a certificate" in note
+        code, out, _ = run(capsys, "example", "ex-4-4", "--n", "4")
+        assert code == EXIT_PASS
+        assert "notes" not in json.loads(out)["tables"]
+
     def test_example_classical_solves_once(self, capsys, monkeypatch):
         from choquetrn import cli, solver
 

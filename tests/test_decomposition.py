@@ -2,6 +2,7 @@
 dyadic approximants and verification."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,7 @@ from support import (
     coarsened,
     grid_dyadic_approximant,
     left_limit,
+    null_heavy_measure,
     random_fraction,
     random_monotone_measure,
     random_simple_function,
@@ -301,6 +303,41 @@ class TestAdjacentBands:
                 assert got == want, (str(family), detail)
             kinds["pass" if got.holds else "fail"] += 1
         assert min(kinds.values()) >= 50, kinds
+
+
+class TestOneEquationPerSet:
+    """One equation per set against the all-pairs oracle, on null-heavy nu
+    and on indefinite integrals mu = integral of f d nu raised on the
+    supersets of one set, witness included."""
+
+    def test_matches_all_pairs_oracle_on_null_heavy_measures(self):
+        rng = random.Random(31)
+        seen = Counter()
+        for trial in range(240):
+            space = random_space(rng, 2, 5)
+            if trial % 2:
+                space = coarsened(space, rng)
+            nu = null_heavy_measure(space, rng)
+            f = random_simple_function(space, rng)
+            mu = indefinite_integral_measure(f, nu)
+            family = random_family(space, rng) if trial % 3 == 0 else \
+                family_from_function(f)
+            if trial % 4 >= 2:
+                S = list(space.subsets())[rng.randrange(1, space.n_subsets())].mask
+                bump = rng.choice((Fraction(1, 4), Fraction(1, 2), 1))
+                mu = measure_from_table(space, {
+                    A: mu(A) + bump if A.mask & S == S else mu(A)
+                    for A in space.subsets()
+                })
+            for detail in (False, True):
+                got = check_decomposition(mu, nu, family, detail=detail)
+                assert got == all_pairs_decomposition(mu, nu, family, detail=detail)
+            seen["pass" if got.holds else "fail"] += 1
+            if got.witness is not None:
+                seen[got.witness.kind] += 1
+                seen["proper witness set"] += got.witness.sets[0].mask != space.full_mask
+        assert min(seen["pass"], seen["fail"]) >= 60, seen
+        assert seen["proper witness set"] >= 60, seen
 
 
 class TestDeriveAndVerify:

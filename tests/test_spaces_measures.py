@@ -95,6 +95,18 @@ class TestMeasureValidation:
         # the witness reproduces the violation
         assert witness.values[0] > witness.values[1]
 
+    def test_infinite_below_a_finite_value_is_a_violation(self):
+        space = build_space(["a", "b"])
+        with pytest.raises(InvalidMeasureError) as err:
+            measure_from_table(
+                space, {(): 0, ("a",): 1, ("b",): "inf", ("a", "b"): 3}
+            )
+        assert str(err.value) == "monotonicity violated: m({b}) = inf > 3 = m({a,b})"
+        witness = err.value.witness
+        assert witness.kind == "monotonicity"
+        assert [A.atom_names() for A in witness.sets] == [("b",), ("a", "b")]
+        assert witness.values == (INF, ExtReal(3))
+
     def test_table_must_be_total(self):
         space = build_space(["a", "b"])
         with pytest.raises(InvalidMeasureError):
