@@ -57,7 +57,7 @@ from .extreal import ExtReal, INF, ZERO
 from .functions import SimpleFunction
 from .measures import MonotoneMeasure
 from .results import Witness
-from .spaces import MeasurableSet, MeasurableSpace, selector_masks
+from .spaces import MeasurableSet, MeasurableSpace, lowest_bit_fill, selector_masks
 
 
 @dataclass(frozen=True)
@@ -239,6 +239,14 @@ class DecompositionReport:
         return self.holds
 
 
+def _last_bands(space: MeasurableSpace, bands) -> list:
+    """The last band holding each block; the bands before it hold it too."""
+    return [
+        max(k for k, band in enumerate(bands) if block & band.set.mask == block)
+        for block in space.blocks
+    ]
+
+
 def _pair_record(A, bands, p, q, nu_values, mu_values) -> PairRecord:
     """Bands p < q on A, from the per-band values nu(A & S_k), mu(A & S_k)."""
     dnu = nu_values[p] - nu_values[q]
@@ -309,21 +317,12 @@ def check_decomposition(
     band_masks = [band.set.mask for band in bands]
     mu_t, nu_t = mu.fractions(), nu.fractions()
 
-    # the last band of each block; band sets decrease, so the bands holding
-    # a block are 0..k, and those holding a set are 0..(least k of its blocks)
+    # the bands holding a set are 0..(the least last band of its blocks)
     tail = nb - 1
-    block_band = [
-        max(k for k, S in enumerate(band_masks) if block & S == block)
-        for block in space.blocks
-    ]
     masks = selector_masks(space.blocks)
-    last = [tail] * len(masks)
     failing = None
-    for s in range(1, len(masks)):
-        low = s & -s
-        k = last[s] = min(block_band[low.bit_length() - 1], last[s ^ low])
+    for B, k in zip(masks, lowest_bit_fill(_last_bands(space, bands), min, tail)):
         if k < tail:
-            B = masks[s]
             C = B & band_masks[k + 1]
             if mu_t[B] - mu_t[C] != bands[k].hi * (nu_t[B] - nu_t[C]):
                 failing = MeasurableSet(space, B)
@@ -390,18 +389,11 @@ def derive_function(family: DecompositionFamily) -> SimpleFunction:
     A point in the unbounded tail band maps to infinity; otherwise the value
     is the supremum of the last band containing the point.
     """
-    space = family.space
     bands = family.bands()
-    values = []
-    for i in range(space.n_blocks):
-        block_mask = space.blocks[i]
-        last = 0
-        for k, band in enumerate(bands):
-            if block_mask & band.set.mask == block_mask:
-                last = k
-        band = bands[last]
-        values.append(INF if band.hi is None else ExtReal(band.hi))
-    return SimpleFunction(space, tuple(values))
+    his = [bands[k].hi for k in _last_bands(family.space, bands)]
+    return SimpleFunction(
+        family.space, tuple(INF if hi is None else ExtReal(hi) for hi in his)
+    )
 
 
 def dyadic_approximant(family: DecompositionFamily, n: int) -> SimpleFunction:

@@ -4,19 +4,24 @@ A monotone measure is a total map from the algebra to nonnegative extended
 rationals that vanishes on the empty set and respects inclusion.  Explicit
 tables are validated exhaustively; generator-built measures (additive,
 indicator-of-the-full-set, max-weight, cardinality-scaled) are monotone by
-construction and skip the scan.
+construction and skip the scan.  Every rule table, and the one ``is_additive``
+compares with, is a lowest-bit fill of block weights: a set's value is the
+value without its lowest block plus (additive, cardinality, zero) or max
+(max-weight) that block's weight.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import groupby
+from operator import add
 from typing import Dict, Mapping, Optional
 
 from .errors import InvalidMeasureError, SpaceMismatchError
-from .extreal import ExtReal, INF, ZERO, ext_max, ext_min, ext_sum
+from .extreal import ExtReal, INF, ZERO, ext_min
 from .results import Verdict, Witness
-from .spaces import MeasurableSet, MeasurableSpace, selector_masks
+from .spaces import MeasurableSet, MeasurableSpace, lowest_bit_fill, selector_masks
 
 
 class MonotoneMeasure:
@@ -92,13 +97,9 @@ class MonotoneMeasure:
 
     def is_additive(self) -> bool:
         """True iff the measure equals the sum of its block values on every set."""
-        if not self.is_finite:
-            return False
-        for A in self.space.subsets():
-            total = ext_sum(self.block_value(i) for i in A.block_indices())
-            if total != self._table[A.mask]:
-                return False
-        return True
+        blocks = self.space.blocks
+        sums = lowest_bit_fill([self._table[b] for b in blocks], add, ZERO)
+        return self.is_finite and self._table == dict(zip(selector_masks(blocks), sums))
 
     def null_sets(self):
         for A in self.space.subsets():
@@ -130,48 +131,43 @@ def measure_from_table(space: MeasurableSpace, table) -> MonotoneMeasure:
     return MonotoneMeasure(space, full)
 
 
-def additive_measure(space: MeasurableSpace, weights: Mapping) -> MonotoneMeasure:
-    """Additive measure from nonnegative atom weights (missing atoms weigh 0)."""
+def _weight_fill(space: MeasurableSpace, weights: Mapping, combine) -> Dict[int, ExtReal]:
+    """mask -> the set's atom weights (missing ones 0) combined by ``combine``."""
     w = [ZERO] * len(space.atoms)
     for name, value in weights.items():
         w[space.index_of(name)] = ExtReal(value)
-    table = {}
-    for A in space.subsets():
-        table[A.mask] = ext_sum(
-            w[i] for i in range(len(space.atoms)) if A.mask & (1 << i)
-        )
-    return MonotoneMeasure(space, table, validate=False)
+    blocks = space.blocks
+    block_weights = [
+        reduce(combine, (v for i, v in enumerate(w) if block >> i & 1), ZERO)
+        for block in blocks
+    ]
+    return dict(zip(selector_masks(blocks), lowest_bit_fill(block_weights, combine, ZERO)))
+
+
+def additive_measure(space: MeasurableSpace, weights: Mapping) -> MonotoneMeasure:
+    """Additive measure from nonnegative atom weights (missing atoms weigh 0)."""
+    return MonotoneMeasure(space, _weight_fill(space, weights, add), validate=False)
 
 
 def indicator_full_measure(space: MeasurableSpace, value=1) -> MonotoneMeasure:
     """value on the whole universe, 0 on every proper subset."""
-    top = ExtReal(value)
-    table = {A.mask: (top if A.is_full else ZERO) for A in space.subsets()}
+    table = _weight_fill(space, {}, add)
+    table[space.full_mask] = ExtReal(value)
     return MonotoneMeasure(space, table, validate=False)
 
 
 def max_weight_measure(space: MeasurableSpace, weights: Mapping) -> MonotoneMeasure:
     """m(A) = max atom weight over A, 0 on the empty set."""
-    w = [ZERO] * len(space.atoms)
-    for name, value in weights.items():
-        w[space.index_of(name)] = ExtReal(value)
-    table = {}
-    for A in space.subsets():
-        members = [w[i] for i in range(len(space.atoms)) if A.mask & (1 << i)]
-        table[A.mask] = ext_max(ZERO, *members) if members else ZERO
-    return MonotoneMeasure(space, table, validate=False)
+    return MonotoneMeasure(space, _weight_fill(space, weights, max), validate=False)
 
 
 def cardinality_measure(space: MeasurableSpace, scale=1) -> MonotoneMeasure:
     """m(A) = scale * |A| (counting points of the universe)."""
-    c = ExtReal(scale)
-    table = {A.mask: c * len(A) for A in space.subsets()}
-    return MonotoneMeasure(space, table, validate=False)
+    return additive_measure(space, dict.fromkeys(space.atoms, ExtReal(scale)))
 
 
 def zero_measure(space: MeasurableSpace) -> MonotoneMeasure:
-    table = {A.mask: ZERO for A in space.subsets()}
-    return MonotoneMeasure(space, table, validate=False)
+    return additive_measure(space, {})
 
 
 def make_measure(space: MeasurableSpace, spec: Mapping) -> MonotoneMeasure:

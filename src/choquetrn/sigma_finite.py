@@ -37,26 +37,32 @@ from .spaces import MeasurableSet, MeasurableSpace, build_space
 _EXHAUSTIVE_LIMIT = 12
 
 
-def _measure_from_rule(space: MeasurableSpace, rule, depth_index: int) -> MonotoneMeasure:
+def _listed(rule, key: str, count: int, what: str):
+    """``rule[key]``, a list of at least ``count`` entries."""
+    entries = rule[key]
+    if isinstance(entries, (list, tuple)) and len(entries) >= count:
+        return entries
+    got = len(entries) if isinstance(entries, (list, tuple)) else type(entries).__name__
+    raise PreconditionError(f"{rule['rule']} needs '{key}' to list {count} {what}; got {got}")
+
+
+def _measure_from_rule(
+    spaces: Sequence[MeasurableSpace], rule, level: int
+) -> MonotoneMeasure:
+    """The rule's measure on ``spaces[level]``."""
+    space = spaces[level]
     name = rule.get("rule")
     if name == "indicator_nonempty":
-        value = ExtReal(rule.get("value", 1))
-        table = {A.mask: (ZERO if A.is_empty else value) for A in space.subsets()}
-        return MonotoneMeasure(space, table, validate=False)
+        return max_weight_measure(space, dict.fromkeys(space.atoms, rule.get("value", 1)))
     if name == "max_element":
-        weights = {a: Fraction(a) for a in space.atoms}
-        return max_weight_measure(space, weights)
+        return max_weight_measure(space, {a: Fraction(a) for a in space.atoms})
     if name == "additive_sequence":
-        weights = rule["weights"]
-        if isinstance(weights, str):
-            raise PreconditionError("additive_sequence weights must be a list")
-        return additive_measure(
-            space, {a: weights[i] for i, a in enumerate(space.atoms)}
-        )
+        weights = _listed(rule, "weights", len(spaces[-1].atoms), "weights, one per atom")
+        return additive_measure(space, dict(zip(space.atoms, weights)))
     if name == "cardinality":
         return cardinality_measure(space, rule.get("scale", 1))
     if name == "explicit":
-        entries = rule["tables"][depth_index]
+        entries = _listed(rule, "tables", len(spaces), "tables, one per level")[level]
         return measure_from_table(space, [(e["set"], e["value"]) for e in entries])
     raise PreconditionError(f"unknown truncation measure rule {name!r}")
 
@@ -72,16 +78,6 @@ class TruncationModel:
     @property
     def deepest(self) -> MeasurableSpace:
         return self.spaces[-1]
-
-    def restrict_set(self, A: MeasurableSet, level: int) -> MeasurableSet:
-        """A & U_level, expressed on the level's space."""
-        space = self.spaces[level]
-        mask = A.mask & ((1 << self.depths[level]) - 1)
-        return MeasurableSet(space, mask)
-
-    def restrict_function(self, f: SimpleFunction, level: int) -> SimpleFunction:
-        space = self.spaces[level]
-        return SimpleFunction(space, f.values[: self.depths[level]])
 
 
 def make_truncation_model(
@@ -107,12 +103,8 @@ def make_truncation_model(
         )
 
     spaces = tuple(build_space(names[:d]) for d in depths)
-    mus = tuple(
-        _measure_from_rule(space, mu_rule, i) for i, space in enumerate(spaces)
-    )
-    nus = tuple(
-        _measure_from_rule(space, nu_rule, i) for i, space in enumerate(spaces)
-    )
+    mus = tuple(_measure_from_rule(spaces, mu_rule, i) for i in range(len(spaces)))
+    nus = tuple(_measure_from_rule(spaces, nu_rule, i) for i in range(len(spaces)))
 
     for level, (space, mu_n, nu_n) in enumerate(zip(spaces, mus, nus)):
         if not (mu_n.is_finite and nu_n.is_finite):

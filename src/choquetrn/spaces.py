@@ -7,13 +7,17 @@ exactly the unions of blocks.  The default algebra is the power set (singleton
 blocks).
 
 Sets are stored as bit masks over point indices, which keeps subset tests,
-unions and complements cheap and gives a fixed canonical enumeration order.
+unions and complements cheap and gives a fixed canonical enumeration order:
+by block selector s, whose bits i pick ``blocks[i]``.  Tables in that order
+(set masks, rule tables) are filled by the one recurrence ``lowest_bit_fill``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import repeat
+from operator import or_
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidFamilyError, SpaceMismatchError
 
@@ -22,14 +26,29 @@ def _popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
+def lowest_bit_fill(weights: Sequence, combine: Callable, start) -> list:
+    """Entry 0 is ``start``; entry s is ``combine(entry[s ^ (1 << i)],
+    weights[i])`` for the lowest bit i of s.  Built from the last weight
+    back, one slice per weight: the table over ``weights[i:]`` is the one
+    over ``weights[i + 1:]`` at its even entries, each combined with
+    ``weights[i]`` at the odd ones."""
+    table = [start]
+    for weight in reversed(weights):
+        grown = [start] * (2 * len(table))
+        grown[::2] = table
+        grown[1::2] = map(combine, table, repeat(weight))
+        table = grown
+    return table
+
+
 def selector_masks(blocks: Sequence[int]) -> list:
-    """The point mask of every block selector s, by the lowest-bit
-    recurrence: entry s is the union of ``blocks[i]`` over the bits i of s."""
-    masks = [0] * (1 << len(blocks))
-    for s in range(1, len(masks)):
-        low = s & -s
-        masks[s] = masks[s ^ low] | blocks[low.bit_length() - 1]
-    return masks
+    """The point mask of every block selector s: the union of the blocks it picks."""
+    return lowest_bit_fill(blocks, or_, 0)
+
+
+class _UnknownAtom(KeyError):
+    """A failed atom lookup, printed as its message, not the message's repr."""
+    __str__ = Exception.__str__
 
 
 def _names(value, what: str = "atom names") -> tuple:
@@ -64,7 +83,7 @@ class MeasurableSpace:
         try:
             return self.atoms.index(atom)
         except ValueError:
-            raise KeyError(f"unknown atom {atom!r}") from None
+            raise _UnknownAtom(f"unknown atom {atom!r}") from None
 
     def block_index_of(self, atom) -> int:
         bit = 1 << self.index_of(atom)
@@ -161,12 +180,6 @@ class MeasurableSet:
     def atom_names(self) -> tuple:
         return tuple(
             name for i, name in enumerate(self.space.atoms) if self.mask & (1 << i)
-        )
-
-    def block_indices(self) -> tuple:
-        return tuple(
-            i for i, block in enumerate(self.space.blocks)
-            if block and block & self.mask == block
         )
 
     def __str__(self):

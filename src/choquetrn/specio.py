@@ -56,6 +56,11 @@ _MALFORMED = (
 )
 
 
+def _reason(exc: Exception) -> str:
+    # a bare KeyError, from a failed lookup, prints only the repr of its key
+    return f"missing key {exc}" if type(exc) is KeyError else str(exc)
+
+
 def _object(value, location: str) -> dict:
     if not isinstance(value, dict):
         raise SpecFileError(
@@ -100,7 +105,7 @@ def parse_problem(data: dict) -> ProblemSpec:
             if spec.space.n_blocks > MAX_ATOMS:
                 raise ValueError(f"more than {MAX_ATOMS} algebra atoms")
     except _MALFORMED as exc:
-        raise SpecFileError(str(exc), location="atoms/partition") from exc
+        raise SpecFileError(_reason(exc), location="atoms/partition") from exc
 
     if spec.space is not None:
         for name, rule in _object(data.get("measures", {}), "measures").items():
@@ -109,14 +114,14 @@ def parse_problem(data: dict) -> ProblemSpec:
             try:
                 spec.measures[name] = make_measure(spec.space, rule)
             except _MALFORMED as exc:
-                raise SpecFileError(str(exc), location=location) from exc
+                raise SpecFileError(_reason(exc), location=location) from exc
         for name, table in _object(data.get("functions", {}), "functions").items():
             location = f"functions.{name}"
             _object(table, location)
             try:
                 spec.functions[name] = function_from_values(spec.space, table)
             except _MALFORMED as exc:
-                raise SpecFileError(str(exc), location=location) from exc
+                raise SpecFileError(_reason(exc), location=location) from exc
         if "family" in data:
             try:
                 breakpoints = [
@@ -130,7 +135,7 @@ def parse_problem(data: dict) -> ProblemSpec:
                 )
                 spec.family = make_family(spec.space, breakpoints, zero_plus=zero_plus)
             except _MALFORMED as exc:
-                raise SpecFileError(str(exc), location="family") from exc
+                raise SpecFileError(_reason(exc), location="family") from exc
 
     if "truncations" in data:
         block = _object(data["truncations"], "truncations")
@@ -163,7 +168,7 @@ def parse_problem(data: dict) -> ProblemSpec:
         except SpecFileError:
             raise
         except _MALFORMED as exc:
-            raise SpecFileError(str(exc), location="truncations") from exc
+            raise SpecFileError(_reason(exc), location="truncations") from exc
 
     return spec
 

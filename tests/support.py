@@ -22,6 +22,11 @@ that one equation per set, from its last band to the next, loses nothing.  The
 dyadic, null-additivity and strong absolute continuity oracles are the
 direct loops over the definitions (the grid of dyadic left limits, all pairs
 of sets, every set per epsilon) that the library's closed forms replace.
+The rule oracles are the library's former constructors, which take
+``ext_sum`` or ``ext_max`` over each set's atoms, so they check the one
+lowest-bit fill per rule set by set; the per-set additivity test sums each
+set's block values.  ``restrict_set`` and ``restrict_function`` cut a set or a
+function to one level of a truncation model, for the per-level oracle.
 The report oracles are the library's former renderers: ``jsonable`` copies
 a report into plain containers, which ``json.dumps`` or the former text
 walk then print, so they check the one-walk renderers byte for byte.
@@ -47,6 +52,8 @@ from choquetrn import (
     additive_measure,
     build_space,
     choquet_value,
+    ext_max,
+    ext_sum,
     measure_from_table,
     verify_rn,
 )
@@ -141,6 +148,57 @@ def random_additive_measure(space, rng, allow_null_atoms=True,
         lo = 0 if allow_null_atoms else 1
         weights[name] = Fraction(rng.randrange(lo, 5), rng.choice(denominators))
     return additive_measure(space, weights)
+
+
+def per_set_measure(space, value_of):
+    """The measure whose table holds ``value_of(A)`` for every set A, one
+    set at a time: the loop the lowest-bit rule fills replace."""
+    table = {A.mask: value_of(A) for A in space.subsets()}
+    return MonotoneMeasure(space, table, validate=False)
+
+
+def _members(space, weights):
+    """A -> the weights of A's atoms, missing atoms weighing 0."""
+    w = [ZERO] * len(space.atoms)
+    for name, value in weights.items():
+        w[space.index_of(name)] = ExtReal(value)
+    return lambda A: [w[i] for i in range(len(space.atoms)) if A.mask & (1 << i)]
+
+
+def per_set_additive_measure(space, weights):
+    members = _members(space, weights)
+    return per_set_measure(space, lambda A: ext_sum(members(A)))
+
+
+def per_set_max_weight_measure(space, weights):
+    members = _members(space, weights)
+    return per_set_measure(space, lambda A: ext_max(ZERO, *members(A)))
+
+
+def per_set_cardinality_measure(space, scale):
+    c = ExtReal(scale)
+    return per_set_measure(space, lambda A: c * len(A))
+
+
+def per_set_indicator_full_measure(space, value):
+    top = ExtReal(value)
+    return per_set_measure(space, lambda A: top if A.is_full else ZERO)
+
+
+def per_set_indicator_nonempty_measure(space, value):
+    top = ExtReal(value)
+    return per_set_measure(space, lambda A: ZERO if A.is_empty else top)
+
+
+def per_set_is_additive(m):
+    """Each set's value against the sum of the values of the blocks in it."""
+    if not m.is_finite:
+        return False
+    blocks = m.space.blocks
+    return all(
+        ext_sum(m.value_of_mask(b) for b in blocks if b & A.mask == b) == m(A)
+        for A in m.space.subsets()
+    )
 
 
 def random_simple_function(space, rng, max_num=6, denominators=(1, 2, 4)):
@@ -271,6 +329,16 @@ def default_sigma_test_sets(model):
     return _polynomial_test_sets(deepest)
 
 
+def restrict_set(model, A, level):
+    """A & U_level, expressed on the level's space."""
+    return MeasurableSet(model.spaces[level], A.mask & ((1 << model.depths[level]) - 1))
+
+
+def restrict_function(model, f, level):
+    """f on U_level, expressed on the level's space."""
+    return SimpleFunction(model.spaces[level], f.values[: model.depths[level]])
+
+
 def per_level_sigma_finite(model, f, test_sets=None):
     """The sigma-finite verification with f restricted, and the integral
     evaluated by the level-set oracle, afresh for every (test set, level)."""
@@ -287,8 +355,8 @@ def per_level_sigma_finite(model, f, test_sets=None):
         mu_vals = []
         int_vals = []
         for level in range(len(model.depths)):
-            A_n = model.restrict_set(A, level)
-            f_n = model.restrict_function(f, level)
+            A_n = restrict_set(model, A, level)
+            f_n = restrict_function(model, f, level)
             mu_vals.append(model.mus[level](A_n))
             int_vals.append(level_set_choquet_integral(f_n, model.nus[level], A_n).total)
         equal = all(a == b for a, b in zip(mu_vals, int_vals))

@@ -25,7 +25,12 @@ from choquetrn.sigma_finite import (
     _polynomial_test_sets,
     resolve_family_generator,
 )
-from support import default_sigma_test_sets, per_level_sigma_finite
+from support import (
+    default_sigma_test_sets,
+    per_level_sigma_finite,
+    restrict_function,
+    restrict_set,
+)
 
 
 class TestModelConstruction:
@@ -114,10 +119,10 @@ class TestModelConstruction:
         model = fixture_f4(4)
         top = model.deepest
         A = top.make_set(["0", "3", "4"])
-        A_1 = model.restrict_set(A, 1)  # U_2 = {0, 1, 2}
+        A_1 = restrict_set(model, A, 1)  # U_2 = {0, 1, 2}
         assert A_1.atom_names() == ("0",)
         f = function_from_values(top, {a: Fraction(a) for a in top.atoms})
-        f_1 = model.restrict_function(f, 1)
+        f_1 = restrict_function(model, f, 1)
         assert f_1.space == model.spaces[1]
         assert f_1("2") == 2
 
@@ -296,7 +301,7 @@ class TestDistinctTruncatedSets:
             assert report == per_level_sigma_finite(model, f), label
             # one integral per distinct truncated mask, on the deepest level
             distinct = {
-                (model.deepest, model.restrict_set(A, level).mask)
+                (model.deepest, restrict_set(model, A, level).mask)
                 for A in default_sigma_test_sets(model)
                 for level in range(len(model.depths))
             }

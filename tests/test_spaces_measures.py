@@ -10,6 +10,7 @@ from choquetrn import (
     INF,
     InvalidFamilyError,
     InvalidMeasureError,
+    MeasurableSet,
     ZERO,
     abs_continuous,
     additive_measure,
@@ -20,15 +21,25 @@ from choquetrn import (
     is_null_additive,
     is_weakly_null_additive,
     make_measure,
+    make_truncation_model,
     max_weight_measure,
     measure_from_table,
     strongly_abs_continuous,
     zero_measure,
 )
+from choquetrn.spaces import lowest_bit_fill
 from support import (
     coarsened,
+    infinite_measure,
     null_heavy_measure,
     pairwise_null_additivity,
+    per_set_additive_measure,
+    per_set_cardinality_measure,
+    per_set_indicator_full_measure,
+    per_set_indicator_nonempty_measure,
+    per_set_is_additive,
+    per_set_max_weight_measure,
+    per_set_measure,
     random_monotone_measure,
     random_space,
     scan_strong_abs_continuity,
@@ -51,6 +62,17 @@ class TestSpaces:
             space.make_set(["a"])
         ac = space.make_set(["a", "c"])
         assert ac.atom_names() == ("a", "c")
+
+    def test_lowest_bit_fill_is_the_recurrence(self):
+        # string concatenation does not commute, so the order of the steps shows
+        weights = ["a", "b", "c", "d"]
+        table = lowest_bit_fill(weights, lambda t, w: t + w, "")
+        assert len(table) == 16 and table[0] == ""
+        for s in range(1, 16):
+            low = s & -s
+            assert table[s] == table[s ^ low] + weights[low.bit_length() - 1]
+        assert table[0b1011] == "dba"
+        assert lowest_bit_fill([], min, 7) == [7]
 
     def test_partition_validation(self):
         with pytest.raises(ValueError):
@@ -160,6 +182,77 @@ class TestConstructors:
             assert m(space.empty_set) == ZERO
         with pytest.raises(InvalidMeasureError):
             make_measure(space, {"rule": "nope"})
+
+
+class TestRuleTables:
+    """Each rule's lowest-bit fill against the per-set loop it replaces, on
+    power-set and coarsened spaces of 1-6 atoms, with weights that are zero,
+    tied, missing and infinite."""
+
+    POOL = (0, 0, 1, 1, Fraction(1, 3), Fraction(5, 2), INF)
+
+    @classmethod
+    def cases(cls, seeds=20):
+        """(rng, space, weights) per seed and size, each space twice: as the
+        power set and coarsened."""
+        for seed in range(seeds):
+            rng = random.Random(seed)
+            for n in range(1, 7):
+                space = build_space([f"x{i}" for i in range(n)])
+                for space in (space, coarsened(space, rng)):
+                    weights = {a: rng.choice(cls.POOL) for a in space.atoms
+                               if rng.random() < 0.8}
+                    yield rng, space, weights
+
+    @staticmethod
+    def assert_same(measure, oracle):
+        assert list(measure.fractions().items()) == list(oracle.fractions().items())
+        assert measure == oracle
+        assert hash(measure) == hash(oracle)
+
+    def test_rules_match_per_set_oracles(self):
+        for rng, space, weights in self.cases():
+            self.assert_same(additive_measure(space, weights),
+                             per_set_additive_measure(space, weights))
+            self.assert_same(max_weight_measure(space, weights),
+                             per_set_max_weight_measure(space, weights))
+            for scale in (0, Fraction(1, 3), INF):
+                self.assert_same(cardinality_measure(space, scale),
+                                 per_set_cardinality_measure(space, scale))
+            self.assert_same(zero_measure(space), per_set_measure(space, lambda A: ZERO))
+            value = rng.choice(self.POOL)
+            self.assert_same(indicator_full_measure(space, value),
+                             per_set_indicator_full_measure(space, value))
+
+    def test_indicator_nonempty_matches_per_set_oracle(self):
+        for value in (0, 1, Fraction(1, 3), Fraction(5, 2)):
+            atoms = [str(k) for k in range(6)]
+            model = make_truncation_model(
+                atoms, {"rule": "indicator_nonempty", "value": str(value)},
+                {"rule": "cardinality"},
+            )
+            for space, mu in zip(model.spaces, model.mus):
+                self.assert_same(mu, per_set_indicator_nonempty_measure(space, value))
+
+    def test_is_additive_matches_per_set_oracle(self):
+        outcomes = {True: 0, False: 0}
+        for rng, space, weights in self.cases():
+            additive = additive_measure(space, weights)
+            pairs = [(MeasurableSet(space, mask), additive.value_of_mask(mask))
+                     for mask in additive.fractions()]
+            rng.shuffle(pairs)  # a table listed in any order
+            for m in (
+                additive,
+                measure_from_table(space, pairs),
+                random_monotone_measure(space, rng),
+                null_heavy_measure(space, rng),
+                infinite_measure(space, rng),
+                cardinality_measure(space, rng.choice(self.POOL)),
+            ):
+                verdict = m.is_additive()
+                assert verdict == per_set_is_additive(m)
+                outcomes[verdict] += 1
+        assert min(outcomes.values()) > 100
 
 
 class TestClassifiers:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from choquetrn import SpecFileError, load_problem, parse_problem, problem_to_dict
+from choquetrn.cli import EXIT_INPUT, main
 from choquetrn.specio import MAX_ATOMS
 
 
@@ -237,6 +238,47 @@ def test_malformed_entries_are_located(data, location):
     with pytest.raises(SpecFileError) as err:
         parse_problem(data)
     assert err.value.location == location
+
+
+def _truncations(mu_rule):
+    return {"truncations": {"N_max": 3, "measures": {
+        "mu": mu_rule, "nu": {"rule": "cardinality"}}}}
+
+
+def _explicit_tables(tables):
+    return {"truncations": {"atoms": ["0", "1"], "depths": [1, 2], "measures": {
+        "mu": {"rule": "explicit", "tables": tables}, "nu": {"rule": "cardinality"}}}}
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("sigma-finite", _truncations({"rule": "additive_sequence", "weights": ["1", "2"]}),
+     "truncations: additive_sequence needs 'weights' to list 4 weights, one per "
+     "atom; got 2"),
+    ("sigma-finite", _truncations({"rule": "additive_sequence", "weights": {"0": "1"}}),
+     "truncations: additive_sequence needs 'weights' to list 4 weights, one per "
+     "atom; got dict"),
+    ("sigma-finite", _explicit_tables([[{"set": [], "value": "0"},
+                                        {"set": ["0"], "value": "1"}]]),
+     "truncations: explicit needs 'tables' to list 2 tables, one per level; got 1"),
+    ("sigma-finite", _explicit_tables("tables"),
+     "truncations: explicit needs 'tables' to list 2 tables, one per level; got str"),
+    ("props", {"atoms": ["a"], "measures": {"m": {"rule": "additive",
+                                                  "weights": {"q": "1"}}}},
+     "measures.m: unknown atom 'q'"),
+    ("props", {"atoms": ["a"], "measures": {"m": {"rule": "max_weight"}}},
+     "measures.m: missing key 'weights'"),
+], ids=["too-few-weights", "weight-object", "too-few-tables", "tables-string",
+        "unknown-atom", "missing-weights"])
+def test_malformed_rules_say_what_they_expected(capsys, tmp_path, command, data,
+                                                message):
+    """A malformed rule names what it expected, and the CLI exits 3 with it."""
+    with pytest.raises(SpecFileError) as err:
+        parse_problem(data)
+    assert str(err.value) == message
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(data))
+    assert main([command, "--input", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_floats_rejected_when_loading(tmp_path):
