@@ -81,7 +81,7 @@ def choquet_integral(
             inf_mask |= part
         elif v:
             by_value[v] = by_value.get(v, 0) | part
-    thresholds = sorted(by_value, key=ExtReal.as_fraction)
+    thresholds = sorted(by_value)
 
     layer_masks = []
     running = inf_mask

@@ -85,9 +85,7 @@ class DecompositionFamily:
 
     def at(self, alpha) -> MeasurableSet:
         """family(alpha) under the right-continuous step semantics."""
-        a = Fraction(alpha)
-        if a < 0:
-            raise ValueError("alpha must be nonnegative")
+        a = ExtReal(alpha).as_fraction()
         if a == 0:
             return self.sets[0]
         if len(self.thresholds) == 1 or a < self.thresholds[1]:
@@ -141,9 +139,12 @@ def make_family(
     thresholds = []
     sets = []
     for alpha, A in breakpoints:
-        a = Fraction(alpha)
-        if a < 0:
-            raise InvalidFamilyError("thresholds must be nonnegative rationals")
+        try:
+            a = ExtReal(alpha).as_fraction()
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise InvalidFamilyError(
+                f"thresholds must be finite nonnegative rationals: {alpha!r}"
+            ) from exc
         if not isinstance(A, MeasurableSet):
             A = space.make_set(A)
         if A.space != space:
@@ -196,13 +197,9 @@ def family_from_function(f: SimpleFunction) -> DecompositionFamily:
     reproduces f exactly.
     """
     space = f.space
-    finite_positive = sorted(
-        {v for v in f.values if v.is_finite and v != ZERO},
-        key=lambda v: v.as_fraction(),
-    )
-    breakpoints = [(Fraction(0), space.full_set)]
-    for v in finite_positive:
-        breakpoints.append((v.as_fraction(), f.level_set(v, strict=True)))
+    finite_positive = sorted({v for v in f.values if v.is_finite and v != ZERO})
+    breakpoints = [(0, space.full_set)]
+    breakpoints += [(v, f.level_set(v, strict=True)) for v in finite_positive]
     return make_family(space, breakpoints, zero_plus=f.level_set(0, strict=True))
 
 

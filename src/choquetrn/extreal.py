@@ -4,6 +4,13 @@ All measure values, function values, thresholds and integrals in this library
 are ``ExtReal`` instances.  There is no floating point anywhere in the kernel;
 every comparison and every arithmetic step is exact.
 
+``ExtReal`` is the one reader of numbers: every value a caller supplies
+(measure weights and tables, function values, family thresholds, the Hahn
+parameter tau, numeric atom names) is read by its constructor, which takes an
+int, a Fraction, a "p/q" string or "inf" and refuses floats and negative
+values.  Its order is the order of the library: infinity sorts last, so
+callers sort and take the least of values without a key.
+
 Conventions: ``c * inf = inf`` for ``c > 0`` and ``0 * inf = 0``.  The latter
 is what makes a zero-measure layer under an infinite height contribute nothing
 to a layer-cake integral.
@@ -12,12 +19,6 @@ to a layer-cake integral.
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def _coerce(value) -> "ExtReal":
-    if isinstance(value, ExtReal):
-        return value
-    return ExtReal(value)
 
 
 def _operand(value):
@@ -30,7 +31,8 @@ def _operand(value):
 
 def _order_operand(value):
     """The Fraction of an ExtReal (None for infinity), an int or Fraction as
-    it is, else NotImplemented: order, like arithmetic, parses no strings."""
+    it is, else NotImplemented: equality and order, like arithmetic, parse no
+    strings."""
     if isinstance(value, ExtReal):
         return value._frac
     return value if isinstance(value, (int, Fraction)) else NotImplemented
@@ -42,7 +44,9 @@ class ExtReal:
     __slots__ = ("_frac",)
 
     def __init__(self, value=0):
-        if isinstance(value, ExtReal):
+        if type(value) is Fraction:  # immutable, so kept as it is
+            frac = value
+        elif isinstance(value, ExtReal):
             frac = value._frac
         elif value is None:
             frac = None
@@ -57,7 +61,7 @@ class ExtReal:
             frac = Fraction(value)
         if frac is not None and frac < 0:
             raise ValueError(f"negative values are not representable: {value!r}")
-        object.__setattr__(self, "_frac", frac)
+        self._frac = frac
 
     # -- predicates ---------------------------------------------------------
 
@@ -113,18 +117,16 @@ class ExtReal:
 
     # -- order --------------------------------------------------------------
 
-    def __eq__(self, other):
-        # strings and negative numbers are never equal to a value, so that
-        # equal objects always hash alike
-        if isinstance(other, ExtReal):
-            return self._frac == other._frac
-        if isinstance(other, (int, Fraction)):
-            return self._frac is not None and self._frac == other
-        return NotImplemented
+    # Equality and order read their operand alike and make at most one
+    # comparison of numbers.  Plain numbers are compared as they are, so a
+    # negative number equals no value and every value exceeds it, and equal
+    # objects hash alike; infinity exceeds every number.
 
-    # Each order operator makes at most one comparison of numbers.  Plain
-    # numbers are compared as they are, so every value exceeds a negative
-    # number, as ``__eq__`` has it; infinity exceeds every number.
+    def __eq__(self, other):
+        b = _order_operand(other)
+        if b is NotImplemented:
+            return b
+        return self._frac == b
 
     def __lt__(self, other):
         b = _order_operand(other)
@@ -175,15 +177,12 @@ INF = ExtReal(None)
 
 
 def ext_min(*values) -> ExtReal:
-    return min((_coerce(v) for v in values), key=lambda v: (not v.is_finite, v._frac or 0))
+    return min(map(ExtReal, values))
 
 
 def ext_max(*values) -> ExtReal:
-    return max(map(_coerce, values))
+    return max(map(ExtReal, values))
 
 
 def ext_sum(values) -> ExtReal:
-    total = ZERO
-    for v in values:
-        total = total + v
-    return total
+    return sum(values, ZERO)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import SpaceMismatchError
-from .extreal import ExtReal, INF, ZERO
+from .extreal import ExtReal, ZERO
 from .measures import MonotoneMeasure
 from .spaces import MeasurableSet, MeasurableSpace
 
@@ -57,8 +57,7 @@ class SimpleFunction:
         for v in self.values:
             if v not in seen:
                 seen.append(v)
-        finite = sorted((v for v in seen if v.is_finite), key=lambda v: v.as_fraction())
-        return tuple(finite) + ((INF,) if any(not v.is_finite for v in seen) else ())
+        return tuple(sorted(seen))
 
     # -- pointwise algebra --------------------------------------------------
 

@@ -9,7 +9,6 @@ here is the finitely-truncated form, reported as truncated-limit evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
 from .choquet import choquet_value
@@ -55,7 +54,7 @@ def _measure_from_rule(
     if name == "indicator_nonempty":
         return max_weight_measure(space, dict.fromkeys(space.atoms, rule.get("value", 1)))
     if name == "max_element":
-        return max_weight_measure(space, {a: Fraction(a) for a in space.atoms})
+        return max_weight_measure(space, {a: a for a in space.atoms})
     if name == "additive_sequence":
         weights = _listed(rule, "weights", len(spaces[-1].atoms), "weights, one per atom")
         return additive_measure(space, dict(zip(space.atoms, weights)))
@@ -152,7 +151,9 @@ def threshold_tail_family(space: MeasurableSpace) -> DecompositionFamily:
     This is the level-set family of the identity function, so deriving the
     function back yields f(x) = x.
     """
-    identity = function_from_values(space, {a: Fraction(a) for a in space.atoms})
+    identity = function_from_values(space, {a: a for a in space.atoms})
+    if not identity.is_finite:
+        raise PreconditionError("threshold_tail needs finite numeric atom names")
     return family_from_function(identity)
 
 

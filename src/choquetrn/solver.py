@@ -271,9 +271,7 @@ def hahn_positive_set(mu: MonotoneMeasure, nu: MonotoneMeasure, tau) -> Measurab
     if mu.space != nu.space:
         raise SpaceMismatchError("measures live on different spaces")
     _require_additive(mu, nu)
-    t = Fraction(tau) if not isinstance(tau, ExtReal) else tau.as_fraction()
-    if t < 0:
-        raise ValueError("tau must be nonnegative")
+    t = ExtReal(tau).as_fraction()
     space = mu.space
     mask = 0
     for i in range(space.n_blocks):

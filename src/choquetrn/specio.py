@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, Optional
 
 from .decomposition import DecompositionFamily, make_family
@@ -125,7 +124,7 @@ def parse_problem(data: dict) -> ProblemSpec:
         if "family" in data:
             try:
                 breakpoints = [
-                    (Fraction(entry["alpha"]), spec.space.make_set(entry["set"]))
+                    (entry["alpha"], spec.space.make_set(entry["set"]))
                     for entry in data["family"]
                 ]
                 zero_plus = (

@@ -299,6 +299,28 @@ class TestReports:
         _, out2, _ = run(capsys, "solve", "--input", solvable_path)
         assert out1 == out2
 
+    # sha256 of stdout, pinned so that a refactor of the kernel keeps every
+    # byte of the worked examples' reports
+    @pytest.mark.parametrize("argv, digest", [
+        (("classical", "json"),
+         "76db5f53978c064af63156d98852b5dfc2f8aa19b7d3ad63eba2ca3eeaaf9401"),
+        (("classical", "text"),
+         "73088f3278e58613da8654e727b53fedb886891705a59270473ad1acb9e8cb08"),
+        (("ex-3-6", "json"),
+         "56b7b93b7564cba7739a7138e37b2cf46692ab31389e1dbe965ed4fc79db5201"),
+        (("ex-3-6", "text"),
+         "1400b36cec64b846e17146074c14d862c7e33435b05be06f08885f22bdb0455b"),
+        (("ex-4-4", "json", "--n", "4"),
+         "9bfb618f21cbaa6c8a28d7403057b65a16ca89b1ec2cd26a9cee1af208ffa432"),
+        (("ex-4-4", "text", "--n", "4"),
+         "f60ecac2af1503161638f70f4f133188c3a9ad851c4a3faaf6b6a8465c758ce3"),
+    ])
+    def test_example_reports_are_pinned(self, capsys, argv, digest):
+        example, fmt, *rest = argv
+        code, out, err = run(capsys, "example", example, "--format", fmt, *rest)
+        assert (code, err) == (EXIT_PASS, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_digest_and_input_echo(self, capsys, solvable_path, tmp_path):
         _, out, _ = run(capsys, "verify", "--input", solvable_path)
         report = json.loads(out)
@@ -399,6 +421,18 @@ class TestArgumentErrors:
         code, _, err = run(capsys, "props", "--input", str(path))
         assert code == EXIT_INPUT
         assert "floats are not allowed" in err
+
+    def test_infinite_atom_name_is_input_error(self, capsys, tmp_path):
+        # the threshold_tail family reads atom names as finite thresholds
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps({"truncations": {
+            "atoms": ["0", "1", "inf"],
+            "measures": {"mu": {"rule": "cardinality"},
+                         "nu": {"rule": "cardinality"}},
+        }}))
+        code, out, err = run(capsys, "sigma-finite", "--input", str(path))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "input error: truncations: " in err
 
     def test_undecodable_file_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "latin1.json"

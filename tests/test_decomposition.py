@@ -107,6 +107,9 @@ class TestFamilyConstruction:
                 [(0, space.full_set), (1, space.make_set(["a"])),
                  (2, space.make_set(["b"]))],
             )  # sets must decrease
+        for bad in (-1, "-1/2", "inf", None, "x", "1/0"):
+            with pytest.raises(InvalidFamilyError):  # not a finite rational >= 0
+                make_family(space, [(0, space.full_set), (bad, space.empty_set)])
 
     def test_evaluation_and_bands(self):
         space = build_space(["a", "b"])
@@ -120,6 +123,8 @@ class TestFamilyConstruction:
         assert family.at(Fraction(5, 2)).atom_names() == ("a",)
         assert family.at(3).is_empty
         assert family.at(100).is_empty
+        with pytest.raises(ValueError):
+            family.at(-1)
         assert family.tail_set.is_empty
         bands = family.bands()
         assert bands[0].lo == 0 and bands[0].hi == 0

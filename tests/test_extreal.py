@@ -6,7 +6,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from choquetrn import ExtReal, INF, ONE, ZERO, ext_max, ext_min, ext_sum
+from choquetrn import (
+    INF,
+    ONE,
+    ZERO,
+    ExtReal,
+    build_space,
+    ext_max,
+    ext_min,
+    ext_sum,
+    fixture_f2,
+    hahn_positive_set,
+    make_family,
+    make_truncation_model,
+    threshold_tail_family,
+)
 
 
 nonneg_fractions = st.fractions(min_value=0, max_value=100)
@@ -100,12 +114,36 @@ class TestOrderAndHelpers:
         assert (ExtReal(a) < ExtReal(b)) == (a < b)
         assert (ExtReal(a) >= ExtReal(b)) == (a >= b)
 
-    def test_min_max_sum(self):
-        vals = [ExtReal(2), ExtReal("1/2"), INF]
-        assert ext_min(*vals) == ExtReal("1/2")
-        assert ext_max(*vals) == INF
-        assert ext_sum(vals) == INF
-        assert ext_sum([ExtReal(1), ExtReal("1/2")]) == ExtReal("3/2")
+    # small numerators and denominators, so that lists hold ties; each
+    # Fraction is a new object, so a tie's result can be told by identity
+    @given(st.lists(
+        st.one_of(
+            st.builds(Fraction, st.integers(0, 3), st.integers(1, 2)),
+            st.integers(0, 3),
+            st.builds(Fraction, st.integers(0, 3), st.integers(1, 2)).map(ExtReal),
+            st.just(INF),
+        ),
+        min_size=1,
+        max_size=8,
+    ))
+    def test_min_max_sum(self, values):
+        # oracle: Fractions, None standing for +infinity
+        def frac(v):
+            if isinstance(v, ExtReal):
+                return v.as_fraction() if v.is_finite else None
+            return v if isinstance(v, Fraction) else Fraction(v)
+
+        def key(v):
+            return (frac(v) is None, frac(v) or 0)
+
+        low, high = min(values, key=key), max(values, key=key)
+        assert ext_min(*values) == ExtReal(frac(low))
+        assert ext_max(*values) == ExtReal(frac(high))
+        fracs = [frac(v) for v in values]
+        assert ext_sum(values) == ExtReal(None if None in fracs else sum(fracs))
+        # the first of tied minima, whose Fraction is kept as it is
+        if isinstance(frac(low), Fraction) and not isinstance(low, int):
+            assert ext_min(*values).as_fraction() is frac(low)
 
     def test_hash_and_equality_with_plain_values(self):
         assert ExtReal("2/4") == Fraction(1, 2)
@@ -209,3 +247,26 @@ class TestOrderAndHelpers:
     def test_str(self):
         assert str(ExtReal("5/3")) == "5/3"
         assert str(INF) == "inf"
+
+
+def _family(threshold):
+    space = build_space(["a", "b"])
+    return make_family(space, [(0, ["a", "b"]), (threshold, ["a"])])
+
+
+class TestOneReader:
+    """Every number a caller hands the library is read by ExtReal."""
+
+    @pytest.mark.parametrize("read", [
+        lambda: _family(0.1),
+        lambda: _family(1).at(0.05),
+        lambda: hahn_positive_set(fixture_f2().mu, fixture_f2().nu, 1.5),
+        lambda: make_truncation_model(
+            [0.1, 1.5], {"rule": "max_element"}, {"rule": "indicator_nonempty"}
+        ),
+        lambda: threshold_tail_family(build_space([0.1, 1.5])),
+    ], ids=["make_family", "at", "hahn_positive_set", "max_element",
+            "threshold_tail_family"])
+    def test_floats_are_refused(self, read):
+        with pytest.raises(TypeError, match="floats are not allowed"):
+            read()
