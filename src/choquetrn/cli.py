@@ -8,6 +8,7 @@ JSON and text renderings carry identical facts.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 
@@ -62,7 +63,7 @@ _COMMANDS = {
     "comonotone": ("comonotonicity of two functions", "input f g"),
     "check-decomposition": ("two-sided inequality check for a family", "input mu nu"),
     "derive": ("derive the function of a family", "input"),
-    "dyadic": ("dyadic approximant of a family (needs --n)", "input n"),
+    "dyadic": ("dyadic approximant of a family (--n defaults to 1)", "input n"),
     "verify": ("verify mu(A) = integral of f over A for all A", "input mu nu f"),
     "solve": ("decide existence of a density", "input mu nu"),
     "classical": ("additive special case, end to end", "input mu nu"),
@@ -82,6 +83,9 @@ _OPTIONS = {
 }
 
 
+# Built on first use, not at import, and then shared by every call of main:
+# argparse keeps no state between parse_args calls.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="choquet-rn",
@@ -98,6 +102,9 @@ def _build_parser() -> _Parser:
             if option in reads.split() or option in ("format", "seed", "out"):
                 p.add_argument(f"--{option}", **kwargs)
     sub.choices["example"].add_argument("id", choices=["ex-3-6", "ex-4-4", "classical"])
+    # props reports absolute continuity only when both measures exist, so it
+    # must tell a name given on the command line from the default
+    sub.choices["props"].set_defaults(mu=None, nu=None)
     return parser
 
 
@@ -152,6 +159,9 @@ def _run_command(args) -> dict:
     t = report["tables"]
 
     if args.command == "props":
+        # a name given on the command line must exist; a default one may not
+        mu = spec.measures.get("mu") if args.mu is None else _need(spec, "measures", args.mu)
+        nu = spec.measures.get("nu") if args.nu is None else _need(spec, "measures", args.nu)
         for name, m in sorted(spec.measures.items()):
             for label, fn in (
                 ("weakly_null_additive", is_weakly_null_additive),
@@ -164,8 +174,7 @@ def _run_command(args) -> dict:
                     w[f"{name}.{label}"] = verdict.witness
                 if verdict.note:
                     t.setdefault("notes", {})[f"{name}.{label}"] = verdict.note
-        if args.mu in spec.measures and args.nu in spec.measures:
-            mu, nu = spec.measures[args.mu], spec.measures[args.nu]
+        if mu is not None and nu is not None:
             ac = abs_continuous(mu, nu)
             sac = strongly_abs_continuous(mu, nu)
             v["abs_continuous"] = ac.holds

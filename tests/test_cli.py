@@ -195,6 +195,32 @@ class TestCommands:
         assert report["tables"]["modulus"] == [
             {"eps": "1", "delta": "1"}, {"eps": "inf", "delta": "1"}]
 
+    @pytest.mark.parametrize("option", ["--mu", "--nu"])
+    def test_props_with_a_named_measure_the_file_lacks(self, capsys,
+                                                       solvable_path, option):
+        code, out, err = run(capsys, "props", "--input", solvable_path,
+                             option, "zz")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "no measure named 'zz'" in err
+
+    def test_props_without_mu_and_nu_classifies_each_measure(self, capsys,
+                                                             tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({
+            "atoms": ["a", "b"], "measures": {"m": {"rule": "cardinality"}},
+        }))
+        code, out, err = run(capsys, "props", "--input", str(path))
+        assert (code, err) == (EXIT_PASS, "")
+        report = json.loads(out)
+        assert set(report["verdicts"]) == {
+            "m.weakly_null_additive", "m.null_additive", "m.property_sigma"}
+        assert "modulus" not in report["tables"]
+        # a name given on the command line is read, the other one defaults
+        code, out, _ = run(capsys, "props", "--input", str(path),
+                           "--mu", "m", "--nu", "m")
+        assert code == EXIT_PASS
+        assert json.loads(out)["verdicts"]["abs_continuous"] is True
+
     def test_integrate(self, capsys, solvable_path):
         code, out, _ = run(capsys, "integrate", "--input", solvable_path)
         assert code == EXIT_PASS
@@ -380,6 +406,69 @@ class TestReports:
                     scan(v)
 
         scan(json.loads(out, parse_float=float))
+
+
+class TestInProcessReuse:
+    def test_calls_in_one_process_do_not_affect_each_other(
+            self, capsys, solvable_path, tmp_path, monkeypatch):
+        out_path = str(tmp_path / "report.out")
+        commands = ["props", "integrate", "comonotone", "check-decomposition",
+                    "derive", "dyadic", "verify", "solve", "classical",
+                    "sigma-finite"]
+        reports = [[command, "--input", solvable_path, "--format", fmt, *out]
+                   for command in commands
+                   for fmt in ("json", "text")
+                   for out in ([], ["--out", out_path])]
+        reports += [["example", name, "--format", fmt]
+                    for name in ("ex-3-6", "classical") for fmt in ("json", "text")]
+        errors = [
+            ["solve", "--input", solvable_path, "--bogus"],
+            ["solve", "--input", solvable_path, "--set", "a"],
+            ["sigma-finite", "--input", solvable_path, "--f", "json"],
+            ["dyadic", "--input", solvable_path, "--n", "0"],
+            ["props"],
+            [],
+            ["verify", "--input", str(tmp_path / "missing.json")],
+            ["solve", "--help"],
+        ]
+        # one error after every fourth report, so each follows and precedes one
+        argvs = list(reports)
+        for k, argv in enumerate(errors):
+            argvs.insert(5 * k + 4, argv)
+
+        def outcome(argv):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            captured = capsys.readouterr()
+            written = None
+            if os.path.exists(out_path):
+                with open(out_path, encoding="utf-8") as handle:
+                    written = handle.read()
+                os.remove(out_path)
+            return code, captured.out, captured.err, written
+
+        first = {tuple(argv): outcome(argv) for argv in argvs}
+        assert len(first) == len(argvs)
+        help_code, help_out, _, _ = first[("solve", "--help")]
+        assert help_code == ("SystemExit", 0)
+        assert help_out.startswith("usage: choquet-rn solve")
+        assert {first[tuple(argv)][0] for argv in errors[:-1]} == {
+            EXIT_USAGE, EXIT_INPUT}
+
+        from choquetrn.cli import _build_parser
+
+        calls = []
+        add_argument = argparse.ArgumentParser.add_argument
+        monkeypatch.setattr(
+            argparse.ArgumentParser, "add_argument",
+            lambda *args, **kwargs: calls.append(args) or add_argument(*args, **kwargs))
+        second = {tuple(argv): outcome(argv) for argv in reversed(argvs)}
+        assert second == first
+        # the parser is built once per process, not once per call
+        assert calls == []
+        assert _build_parser() is _build_parser()
 
 
 class TestArgumentErrors:
