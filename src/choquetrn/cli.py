@@ -291,7 +291,7 @@ def _classical(mu, nu, report: dict) -> None:
 def _sigma_finite(model, report: dict):
     """Glue and verify the threshold-tail density; returns it, or None."""
     v, t = report["verdicts"], report["tables"]
-    glue = glue_derivative(model, "threshold_tail")
+    glue = glue_derivative(model)
     v["glue"] = glue.holds
     v["finite_ae"] = glue.finite_ae
     if glue.function is not None:

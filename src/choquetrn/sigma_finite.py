@@ -4,12 +4,19 @@ A countable space is modelled at desk scale by a nested sequence of finite
 prefix spaces U_1 < U_2 < ... < U_N with measures given by rule generators
 evaluated on each truncation.  True limits are out of reach; every statement
 here is the finitely-truncated form, reported as truncated-limit evidence.
+
+Gluing needs no pass per level.  The density is the identity on the atom
+names (the threshold-tail family), the same function on every prefix, and a
+set inside U_n gets the same decomposition equation at every level that
+holds it, read from measure values on its subsets, where the levels agree.
+So one check on the deepest level decides every level: level n fails iff
+the deepest check's first failing set lies inside U_n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .choquet import choquet_value
 from .decomposition import (
@@ -20,7 +27,7 @@ from .decomposition import (
     family_from_function,
 )
 from .errors import PreconditionError, SpaceMismatchError
-from .extreal import ExtReal, ZERO
+from .extreal import ZERO
 from .functions import SimpleFunction, function_from_values
 from .measures import (
     MonotoneMeasure,
@@ -143,7 +150,7 @@ def _polynomial_test_sets(space: MeasurableSpace) -> List[MeasurableSet]:
     return [MeasurableSet(space, m) for m in sorted(masks)]
 
 
-# -- family generators -------------------------------------------------------
+# -- the threshold-tail family ------------------------------------------------
 
 def threshold_tail_family(space: MeasurableSpace) -> DecompositionFamily:
     """The family alpha -> {x : x >= alpha} for numeric atom names.
@@ -157,36 +164,14 @@ def threshold_tail_family(space: MeasurableSpace) -> DecompositionFamily:
     return family_from_function(identity)
 
 
-def resolve_family_generator(gen) -> Callable[[MeasurableSpace, int], DecompositionFamily]:
-    if callable(gen):
-        return lambda space, level: gen(space)
-    if gen == "threshold_tail" or (
-        isinstance(gen, dict) and gen.get("rule") == "threshold_tail"
-    ):
-        return lambda space, level: threshold_tail_family(space)
-    if isinstance(gen, (list, tuple)):
-        families = list(gen)
-        return lambda space, level: families[level]
-    raise PreconditionError(f"unknown family generator {gen!r}")
-
-
 # -- gluing ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TruncationReport:
-    level: int
-    depth: int
-    decomposition: DecompositionReport
-    function: SimpleFunction
-    compatible: bool
-    nu_measure_of_infinity_set: ExtReal
-
 
 @dataclass(frozen=True)
 class GlueResult:
     holds: bool
     function: Optional[SimpleFunction]  # on the deepest truncation
-    per_truncation: tuple
+    decomposition: DecompositionReport  # the deepest truncation's check
+    per_truncation: tuple  # one verdict per depth, shallowest first
     finite_ae: bool
     note: str
 
@@ -194,52 +179,37 @@ class GlueResult:
         return self.holds
 
 
-def glue_derivative(model: TruncationModel, family_gen) -> GlueResult:
-    """Derive a density on every truncation and glue them into one function.
+def glue_derivative(model: TruncationModel) -> GlueResult:
+    """Derive the threshold-tail density and glue it across the truncations.
 
-    Each truncation must pass the decomposition check (tail included); the
-    per-level derived functions must agree exactly on shared prefixes, which
-    shared family generators guarantee by construction.  Incompatibilities
-    are reported, never repaired.
+    One decomposition check on the deepest truncation decides every level.
+    Take a nonempty B inside U_n and let v be the least atom name in B.  At
+    every level the identity's bands give B the same equation,
+    mu(B) - mu(B minus {f = v}) = v * (nu(B) - nu(B minus {f = v})), and the
+    tail set is empty.  Both sides read only subsets of B, where every level
+    agrees (``make_truncation_model`` checks it).  So level n fails iff the
+    deepest check's first failing set, in ascending mask order, lies inside
+    U_n, that is iff its mask is below 2^depth.  The identity agrees with
+    itself on every prefix, so the glued function is the deepest one.
     """
-    gen = resolve_family_generator(family_gen)
-    reports = []
-    holds = True
-    prev_values = None
-    for level, space in enumerate(model.spaces):
-        mu_n, nu_n = model.mus[level], model.nus[level]
-        family = gen(space, level)
-        decomposition = check_decomposition(mu_n, nu_n, family)
-        f_n = derive_function(family)
-        compatible = (
-            prev_values is None or f_n.values[: len(prev_values)] == prev_values
-        )
-        inf_mass = nu_n(f_n.infinity_set)
-        reports.append(
-            TruncationReport(
-                level=level,
-                depth=model.depths[level],
-                decomposition=decomposition,
-                function=f_n,
-                compatible=compatible,
-                nu_measure_of_infinity_set=inf_mass,
-            )
-        )
-        holds = holds and decomposition.holds and compatible
-        prev_values = f_n.values
-
-    final = reports[-1].function if holds else None
-    finite_ae = all(r.nu_measure_of_infinity_set == ZERO for r in reports)
-    note = (
-        "truncated limit evidence at depth "
-        f"{model.depths[-1]}; no genuine limit is certified"
+    family = threshold_tail_family(model.deepest)
+    decomposition = check_decomposition(model.mus[-1], model.nus[-1], family)
+    f = derive_function(family)
+    witness = decomposition.witness
+    per_truncation = tuple(
+        witness is None or witness.sets[0].mask >> depth != 0
+        for depth in model.depths
     )
     return GlueResult(
-        holds=holds,
-        function=final,
-        per_truncation=tuple(reports),
-        finite_ae=finite_ae,
-        note=note,
+        holds=decomposition.holds,
+        function=f if decomposition.holds else None,
+        decomposition=decomposition,
+        per_truncation=per_truncation,
+        finite_ae=model.nus[-1](f.infinity_set) == ZERO,
+        note=(
+            "truncated limit evidence at depth "
+            f"{model.depths[-1]}; no genuine limit is certified"
+        ),
     )
 
 

@@ -296,12 +296,16 @@ def classical_family(mu: MonotoneMeasure, nu: MonotoneMeasure) -> DecompositionF
         raise NotAbsolutelyContinuousError(
             "mu is not absolutely continuous w.r.t. nu", witness=ac.witness
         )
-    return family_from_function(density_ratios(mu, nu))
+    return family_from_function(_ratios(mu, nu))
 
 
 def density_ratios(mu: MonotoneMeasure, nu: MonotoneMeasure) -> SimpleFunction:
     """The atomwise ratio function mu-weight / nu-weight (0 on nu-null atoms)."""
     _require_additive(mu, nu)
+    return _ratios(mu, nu)
+
+
+def _ratios(mu: MonotoneMeasure, nu: MonotoneMeasure) -> SimpleFunction:
     space = mu.space
     values = []
     for i in range(space.n_blocks):
@@ -338,11 +342,12 @@ def classical_rn_check(mu: MonotoneMeasure, nu: MonotoneMeasure) -> ClassicalRep
     ac = abs_continuous(mu, nu)
     certificate = solve_rn(mu, nu)
     if ac.holds:
-        family = classical_family(mu, nu)
+        ratios = _ratios(mu, nu)
+        family = family_from_function(ratios)
         decomposition = check_decomposition(mu, nu, family)
         f = derive_function(family)
         verification = verify_rn(mu, nu, f)
-        ratio_match = equal_ae(f, density_ratios(mu, nu), nu)
+        ratio_match = equal_ae(f, ratios, nu)
         return ClassicalReport(
             holds=decomposition.holds and verification.holds and ratio_match.equal,
             ac=ac,

@@ -173,6 +173,18 @@ def parse_problem(data: dict) -> ProblemSpec:
 
 
 def load_problem(path: str) -> ProblemSpec:
+    # both the JSON decoder and parse_problem's walk recurse once per level
+    # of nesting
+    try:
+        return parse_problem(_read_object(path))
+    except RecursionError as exc:
+        raise SpecFileError(
+            "values nested deeper than the interpreter's recursion limit",
+            location=path,
+        ) from exc
+
+
+def _read_object(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -189,7 +201,7 @@ def load_problem(path: str) -> ProblemSpec:
         raise SpecFileError(str(exc), location=path) from exc
     if not isinstance(data, dict):
         raise SpecFileError("top-level value must be an object", location=path)
-    return parse_problem(data)
+    return data
 
 
 def problem_to_dict(spec: ProblemSpec) -> dict:

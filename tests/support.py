@@ -10,7 +10,9 @@ once per set, the loop that the one-pass integral table (one lemma step per
 set) replaces in ``indefinite_integral_measure`` and ``verify_rn``.  The
 per-level sigma-finite oracle recomputes every (test set, level) integral,
 so it checks that reusing one integral per distinct truncated set changes
-no record.  The solver oracle tries every maximal chain without
+no record.  The per-level glue oracle is the library's former gluing, one
+decomposition check per truncation level, so it checks that the deepest
+level's check decides every level.  The solver oracle tries every maximal chain without
 pruning and solves each chain's system afresh by the library's former
 one-shot Gaussian elimination over Fractions (``_solve_chain_system``) and
 Fourier-Motzkin elimination (``_feasible_point``), so it checks that the
@@ -51,7 +53,9 @@ from choquetrn import (
     ZERO,
     additive_measure,
     build_space,
+    check_decomposition,
     choquet_value,
+    derive_function,
     ext_max,
     ext_sum,
     measure_from_table,
@@ -66,6 +70,7 @@ from choquetrn.sigma_finite import (
     SigmaFiniteRecord,
     SigmaFiniteReport,
     _polynomial_test_sets,
+    threshold_tail_family,
 )
 
 
@@ -382,6 +387,29 @@ def per_level_sigma_finite(model, f, test_sets=None):
     return SigmaFiniteReport(
         holds=holds, records=tuple(records), note=note, sampled=sampled
     )
+
+
+def per_level_glue(model):
+    """Gluing by one decomposition check per level: (holds, per-level
+    verdicts, glued function or None, finite_ae).
+
+    Each level derives its own threshold-tail density, which must agree with
+    the previous level's on the shared prefix; a level's verdict is its
+    check and that agreement."""
+    verdicts = []
+    functions = []
+    finite_ae = True
+    for space, mu_n, nu_n in zip(model.spaces, model.mus, model.nus):
+        family = threshold_tail_family(space)
+        f_n = derive_function(family)
+        compatible = not functions or (
+            f_n.values[: len(functions[-1].values)] == functions[-1].values
+        )
+        verdicts.append(check_decomposition(mu_n, nu_n, family).holds and compatible)
+        functions.append(f_n)
+        finite_ae = finite_ae and nu_n(f_n.infinity_set) == ZERO
+    holds = all(verdicts)
+    return holds, tuple(verdicts), functions[-1] if holds else None, finite_ae
 
 
 def _feasible_point(inequalities, nvars):

@@ -94,14 +94,16 @@ def test_criterion_01_two_densities_on_four_points(capsys):
 def test_criterion_02_sigma_finite_truncation_model(capsys):
     start = time.perf_counter()
     model = fixture_f4(8)
-    glue = glue_derivative(model, "threshold_tail")
+    glue = glue_derivative(model)
     identity = glue.holds and all(
         glue.function(a) == ExtReal(Fraction(a)) for a in model.deepest.atoms
     )
+    every_depth = glue.per_truncation == (True,) * len(model.depths)
     check = verify_sigma_finite(model, glue.function) if glue.holds else None
     elapsed = time.perf_counter() - start
     ok = (
         identity
+        and every_depth
         and check is not None and check.holds
         and len(check.records) == 512  # full power set of the 9-atom top level
         and all(r.equal for r in check.records)

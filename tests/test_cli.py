@@ -105,6 +105,30 @@ class TestExitStatuses:
         assert code == EXIT_INPUT
         assert "digits" in err and out == ""
 
+    @pytest.mark.parametrize("where", ["atoms", "functions"])
+    def test_nesting_past_the_recursion_limit_is_three(self, capsys, tmp_path, where):
+        deep = "[" * 100_000 + "]" * 100_000
+        path = tmp_path / "deep.json"
+        path.write_text('{"atoms": %s}' % deep if where == "atoms"
+                        else '{"atoms": ["a"], "functions": {"f": %s}}' % deep)
+        code, out, err = run(capsys, "props", "--input", str(path))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "input error" in err and "recursion limit" in err
+
+    @pytest.mark.parametrize("where", ["atoms", "functions"])
+    def test_decoded_nesting_past_the_recursion_limit_is_three(
+            self, capsys, monkeypatch, solvable_path, where):
+        # the file decodes, but the walk that rejects floats recurses deeper
+        nested = []
+        for _ in range(100_000):
+            nested = [nested]
+        problem = ({"atoms": nested} if where == "atoms"
+                   else {"atoms": ["a"], "functions": {"f": nested}})
+        monkeypatch.setattr(json, "load", lambda handle: problem)
+        code, out, err = run(capsys, "props", "--input", solvable_path)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "input error" in err and "recursion limit" in err
+
     def test_value_past_the_digit_limit_is_printed(self, capsys, tmp_path):
         big = "1" + "0" * 3999  # 10^3999, under the limit; its square is not
         path = tmp_path / "big.json"

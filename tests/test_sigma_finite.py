@@ -15,19 +15,18 @@ from choquetrn import (
     fixture_f4,
     function_from_values,
     glue_derivative,
+    indefinite_integral_measure,
     make_truncation_model,
     threshold_tail_family,
     verify_sigma_finite,
 )
 from choquetrn import sigma_finite
-from choquetrn.sigma_finite import (
-    _EXHAUSTIVE_LIMIT,
-    _polynomial_test_sets,
-    resolve_family_generator,
-)
+from choquetrn.sigma_finite import _EXHAUSTIVE_LIMIT, _polynomial_test_sets
 from support import (
     default_sigma_test_sets,
+    per_level_glue,
     per_level_sigma_finite,
+    random_monotone_measure,
     restrict_function,
     restrict_set,
 )
@@ -136,54 +135,110 @@ class TestFamilyGenerators:
         f = derive_function(family)
         assert all(f(a) == Fraction(a) for a in space.atoms)
 
-    def test_resolver_accepts_callables_lists_and_names(self):
-        space = build_space(["0", "1"])
-        fam = threshold_tail_family(space)
-        assert resolve_family_generator("threshold_tail")(space, 0) == fam
-        assert resolve_family_generator(lambda s: threshold_tail_family(s))(
-            space, 3
-        ) == fam
-        assert resolve_family_generator([fam])(space, 0) == fam
-        with pytest.raises(PreconditionError):
-            resolve_family_generator("nope")
-
 
 class TestGlue:
     def test_fixture_glues_to_identity(self):
         model = fixture_f4(6)
-        result = glue_derivative(model, "threshold_tail")
+        result = glue_derivative(model)
         assert result.holds
         assert result.finite_ae
         assert all(
             result.function(a) == Fraction(a) for a in model.deepest.atoms
         )
         assert "truncated limit evidence" in result.note
-        for report in result.per_truncation:
-            assert report.decomposition.holds
-            assert report.compatible
-            assert report.nu_measure_of_infinity_set == ZERO
+        assert result.decomposition.holds and result.decomposition.witness is None
+        assert result.per_truncation == (True,) * len(model.depths)
 
-    def test_incompatible_families_reported_not_repaired(self):
-        model = fixture_f4(3)
-        # families that derive different functions at different levels
-        families = []
-        for space in model.spaces:
-            f = function_from_values(
-                space, {a: Fraction(a) + len(space.atoms) for a in space.atoms}
-            )
-            from choquetrn import family_from_function
+    def test_levels_fail_from_the_first_failing_set_on(self):
+        # mu = nu = |A| is the density 1: the levels holding only atoms
+        # named 1 pass, and the first atom named 2 fails every deeper level
+        model = make_truncation_model(
+            ["1", "01", "2", "1/1", "3"],
+            {"rule": "cardinality"}, {"rule": "cardinality"},
+            depths=[1, 2, 3, 4, 5],
+        )
+        result = glue_derivative(model)
+        assert not result.holds and result.function is None
+        assert result.decomposition.witness.sets[0].atom_names() == ("2",)
+        assert result.per_truncation == (True, True, False, False, False)
+        assert result.finite_ae
+        assert per_level_glue(model) == (
+            False, result.per_truncation, None, True
+        )
 
-            families.append(family_from_function(f))
-        result = glue_derivative(model, families)
-        assert not result.holds
-        assert result.function is None
-        assert any(not r.compatible for r in result.per_truncation)
+    def test_matches_the_per_level_oracle(self):
+        outcomes = Counter()
+        for label, model in _glue_models(random.Random(16), 300):
+            result = glue_derivative(model)
+            assert (result.holds, result.per_truncation, result.function,
+                    result.finite_ae) == per_level_glue(model), label
+            assert result.decomposition.holds == result.holds, label
+            outcomes["pass" if result.holds else
+                     "some levels" if any(result.per_truncation) else "fail"] += 1
+        assert min(outcomes[k] for k in ("pass", "some levels", "fail")) >= 30, outcomes
+
+
+_NAMES = ["0", "1", "01", "1/1", "1/2", "2/4", "3/2", "2", "5/3", "3", "7/2", "4"]
+
+
+def _glue_models(rng, count):
+    """(label, model): fixture_f4, then rule and explicit-table models on
+    shuffled, fractional and tied numeric atom names with random depth lists,
+    about half of them failing at some level."""
+    for n in range(1, 7):
+        yield f"f4-{n}", fixture_f4(n)
+    for case in range(count):
+        names = rng.sample(_NAMES, rng.randint(1, 7))
+        depths = sorted(rng.sample(range(1, len(names) + 1),
+                                   rng.randint(1, len(names))))
+        space = build_space(names)
+        kind = rng.choice(("additive_sequence", "cardinality", "max_element",
+                           "explicit"))
+        if kind == "additive_sequence":
+            weights = [Fraction(rng.randrange(0, 4), rng.choice((1, 2, 3)))
+                       for _ in names]
+            mu_weights = [Fraction(a) * w for a, w in zip(names, weights)]
+            if rng.random() < 0.5:  # a wrong weight from some atom on
+                k = rng.randrange(len(names))
+                mu_weights[k] += rng.choice((1, Fraction(1, 2)))
+            mu_rule = {"rule": kind, "weights": mu_weights}
+            nu_rule = {"rule": kind, "weights": weights}
+        elif kind == "cardinality":
+            mu_rule = {"rule": kind, "scale": rng.choice((1, 2, "1/2", "3/2"))}
+            nu_rule = {"rule": kind, "scale": rng.choice((1, 2))}
+        elif kind == "max_element":
+            mu_rule = {"rule": kind}
+            nu_rule = {"rule": rng.choice(("indicator_nonempty", "cardinality"))}
+        else:
+            # tables read from the set: nu any monotone measure, mu its
+            # integral of the identity, perhaps plus a bump on one atom
+            nu = random_monotone_measure(space, rng)
+            f = function_from_values(space, {a: a for a in names})
+            mu = indefinite_integral_measure(f, nu)
+            bump = rng.randrange(len(names)) if rng.random() < 0.5 else None
+
+            def tables(measure, bump=None):
+                out = []
+                for depth in depths:
+                    level = build_space(names[:depth])
+                    out.append([
+                        {"set": list(A.atom_names()),
+                         "value": measure.value_of_mask(A.mask).as_fraction()
+                         + (1 if bump is not None and A.mask >> bump & 1 else 0)}
+                        for A in level.subsets()
+                    ])
+                return out
+
+            mu_rule = {"rule": kind, "tables": tables(mu, bump)}
+            nu_rule = {"rule": kind, "tables": tables(nu)}
+        model = make_truncation_model(names, mu_rule, nu_rule, depths=depths)
+        yield f"{kind}-{case}-{names}-{depths}", model
 
 
 class TestVerify:
     def test_fixture_verifies_on_the_power_set(self):
         model = fixture_f4(6)
-        result = glue_derivative(model, "threshold_tail")
+        result = glue_derivative(model)
         report = verify_sigma_finite(model, result.function)
         assert report.holds
         assert len(report.records) == model.deepest.n_subsets()
@@ -250,18 +305,24 @@ def _explicit_model():
     )
 
 
+def _identity(model):
+    """The threshold-tail density on the deepest level, glued or not."""
+    return function_from_values(model.deepest, {a: a for a in model.deepest.atoms})
+
+
 def _sigma_cases():
     """(label, model, f): passing and failing verifications of every kind."""
     for n in range(4, 9):
         model = fixture_f4(n)
-        yield f"f4-{n}", model, glue_derivative(model, "threshold_tail").function
+        yield f"f4-{n}", model, glue_derivative(model).function
     rng = random.Random(31)
     for n_atoms in (4, 6, 7):
         weights = [Fraction(rng.randrange(0, 4), rng.choice((1, 2, 3)))
                    for _ in range(n_atoms)]
         model = _additive_model(n_atoms, list(range(1, n_atoms + 1)), weights)
-        f = glue_derivative(model, "threshold_tail").per_truncation[-1].function
-        yield f"additive-{n_atoms}", model, f
+        glue = glue_derivative(model)
+        assert glue.holds == all(glue.per_truncation)
+        yield f"additive-{n_atoms}", model, _identity(model)
         wrong = function_from_values(
             model.deepest, {a: Fraction(a) + 1 for a in model.deepest.atoms}
         )
@@ -273,14 +334,15 @@ def _sigma_cases():
             {"rule": "cardinality", "scale": nu_scale},
             depths=[k + 1 for k in range(1, n_max + 1)],
         )
-        glue = glue_derivative(model, "threshold_tail")
-        assert not glue.holds
-        yield f"cardinality-{n_max}", model, glue.per_truncation[-1].function
+        glue = glue_derivative(model)
+        assert not glue.holds and not any(glue.per_truncation[1:])
+        yield f"cardinality-{n_max}", model, _identity(model)
     model = _explicit_model()
-    yield "explicit", model, glue_derivative(model, "threshold_tail").per_truncation[-1].function
+    assert not glue_derivative(model).holds
+    yield "explicit", model, _identity(model)
     deep = _additive_model(14, [3, 8, 14], [Fraction(1 + i % 3, 2) for i in range(14)])
     assert deep.deepest.n_blocks > _EXHAUSTIVE_LIMIT
-    yield "deep", deep, glue_derivative(deep, "threshold_tail").function
+    yield "deep", deep, glue_derivative(deep).function
 
 
 class TestDistinctTruncatedSets:
@@ -312,7 +374,7 @@ class TestDistinctTruncatedSets:
 
     def test_given_test_sets_match_the_oracle(self):
         model = fixture_f4(5)
-        f = glue_derivative(model, "threshold_tail").function
+        f = glue_derivative(model).function
         sets = [model.deepest.make_set(["1", "4"]), model.deepest.empty_set,
                 model.deepest.make_set(["1", "4"]), model.deepest.full_set]
         report = verify_sigma_finite(model, f, sets)
@@ -321,7 +383,7 @@ class TestDistinctTruncatedSets:
 
     def test_test_sets_must_live_on_the_deepest_truncation(self):
         model = fixture_f4(4)
-        f = glue_derivative(model, "threshold_tail").function
+        f = glue_derivative(model).function
         foreign = build_space(["a", "b", "c", "d", "e"])
         assert foreign.n_blocks == model.deepest.n_blocks
         with pytest.raises(SpaceMismatchError):

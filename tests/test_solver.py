@@ -8,7 +8,9 @@ from math import factorial
 import pytest
 
 from choquetrn import (
+    ClassicalReport,
     ExtReal,
+    MonotoneMeasure,
     NotAbsolutelyContinuousError,
     NotAdditiveError,
     PreconditionError,
@@ -306,6 +308,34 @@ class TestClassicalPathway:
         assert report.verification.holds
         assert report.ratio_match.equal
         assert report.solver_agrees
+
+    def test_each_check_runs_once(self, monkeypatch):
+        """Additivity once per measure, absolute continuity once, and the
+        report the public steps build."""
+        import choquetrn.solver as solver_module
+
+        fx = fixture_f2()
+        expected_family = classical_family(fx.mu, fx.nu)
+        f = derive_function(expected_family)
+        expected = ClassicalReport(
+            holds=True,
+            ac=abs_continuous(fx.mu, fx.nu),
+            family=expected_family,
+            decomposition=check_decomposition(fx.mu, fx.nu, expected_family),
+            function=f,
+            verification=verify_rn(fx.mu, fx.nu, f),
+            ratio_match=equal_ae(f, density_ratios(fx.mu, fx.nu), fx.nu),
+            solver_agrees=True,
+        )
+        calls = []
+        is_additive = MonotoneMeasure.is_additive
+        monkeypatch.setattr(MonotoneMeasure, "is_additive",
+                            lambda m: calls.append("is_additive") or is_additive(m))
+        monkeypatch.setattr(
+            solver_module, "abs_continuous",
+            lambda mu, nu: calls.append("abs_continuous") or abs_continuous(mu, nu))
+        assert classical_rn_check(fx.mu, fx.nu) == expected
+        assert sorted(calls) == ["abs_continuous", "is_additive", "is_additive"]
 
     def test_ratio_function(self):
         fx = fixture_f2()
