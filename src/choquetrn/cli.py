@@ -41,8 +41,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 
-# Largest --n for dyadic and ex-4-4: ex-4-4 builds n + 1 points, a full power
-# set per truncation level, so both bounds are one decision.
+# Largest --n for dyadic and ex-4-4: ex-4-4 builds n + 1 points and its
+# measures on their full power set, so both bounds are one decision.
 MAX_N = MAX_ATOMS - 1
 
 

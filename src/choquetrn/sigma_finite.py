@@ -1,9 +1,13 @@
 """Truncation models for countable spaces and the gluing construction.
 
 A countable space is modelled at desk scale by a nested sequence of finite
-prefix spaces U_1 < U_2 < ... < U_N with measures given by rule generators
-evaluated on each truncation.  True limits are out of reach; every statement
-here is the finitely-truncated form, reported as truncated-limit evidence.
+prefix spaces U_1 < U_2 < ... < U_N.  A model holds one mu and one nu, on the
+deepest prefix; level n's measure is their restriction to U_n.  A generating
+rule is built once, there: its value on a set B inside U_n reads only B's own
+atoms, names and weights, so no rule can disagree with itself across levels.
+Only ``explicit`` tables, one per level from outside the program, are
+compared level by level.  True limits are out of reach; every statement here
+is the finitely-truncated form, reported as truncated-limit evidence.
 
 Gluing needs no pass per level.  The density is the identity on the atom
 names (the threshold-tail family), the same function on every prefix, and a
@@ -52,38 +56,41 @@ def _listed(rule, key: str, count: int, what: str):
     raise PreconditionError(f"{rule['rule']} needs '{key}' to list {count} {what}; got {got}")
 
 
-def _measure_from_rule(
-    spaces: Sequence[MeasurableSpace], rule, level: int
-) -> MonotoneMeasure:
-    """The rule's measure on ``spaces[level]``."""
-    space = spaces[level]
+def _measure_from_rule(space: MeasurableSpace, rule) -> MonotoneMeasure:
+    """The generating rule's measure on ``space``, the deepest prefix."""
     name = rule.get("rule")
     if name == "indicator_nonempty":
         return max_weight_measure(space, dict.fromkeys(space.atoms, rule.get("value", 1)))
     if name == "max_element":
         return max_weight_measure(space, {a: a for a in space.atoms})
     if name == "additive_sequence":
-        weights = _listed(rule, "weights", len(spaces[-1].atoms), "weights, one per atom")
+        weights = _listed(rule, "weights", len(space.atoms), "weights, one per atom")
         return additive_measure(space, dict(zip(space.atoms, weights)))
     if name == "cardinality":
         return cardinality_measure(space, rule.get("scale", 1))
-    if name == "explicit":
-        entries = _listed(rule, "tables", len(spaces), "tables, one per level")[level]
-        return measure_from_table(space, [(e["set"], e["value"]) for e in entries])
     raise PreconditionError(f"unknown truncation measure rule {name!r}")
+
+
+def _levels(names: tuple, depths: tuple, rule) -> list:
+    """The rule's measure at each depth: an ``explicit`` rule's own table per
+    level, or else one table on the deepest prefix, shared by every level."""
+    if rule.get("rule") != "explicit":
+        return [_measure_from_rule(build_space(names[:depths[-1]]), rule)] * len(depths)
+    tables = _listed(rule, "tables", len(depths), "tables, one per level")
+    return [
+        measure_from_table(build_space(names[:depth]),
+                           [(e["set"], e["value"]) for e in entries])
+        for depth, entries in zip(depths, tables)
+    ]
 
 
 @dataclass(frozen=True)
 class TruncationModel:
     atoms: tuple                 # full universe, fixed order
     depths: tuple                # prefix lengths, strictly increasing
-    spaces: tuple                # one power-set space per depth
-    mus: tuple
-    nus: tuple
-
-    @property
-    def deepest(self) -> MeasurableSpace:
-        return self.spaces[-1]
+    deepest: MeasurableSpace     # the power set of the deepest prefix
+    mu: MonotoneMeasure          # on ``deepest``; level n's is its restriction
+    nu: MonotoneMeasure
 
 
 def make_truncation_model(
@@ -92,11 +99,15 @@ def make_truncation_model(
     nu_rule,
     depths: Optional[Sequence[int]] = None,
 ) -> TruncationModel:
-    """Materialize all truncations and verify cross-truncation consistency.
+    """Materialize the measures on the deepest truncation and check the levels.
 
     Rules: indicator_nonempty, max_element (numeric atom names),
     additive_sequence, cardinality, explicit (one table per truncation).
-    Both measures must be finite on every truncation.
+    Each generating rule gives one table, on the deepest prefix: its value on
+    a set B inside U_n reads only B's own atoms, names and weights, so its
+    restriction to U_n is the table it gives on U_n.  Explicit tables come
+    per level from outside, so consecutive levels are compared on every set
+    of the smaller one.  Both measures must be finite on every truncation.
     """
     names = build_space(atoms).atoms
     if depths is None:
@@ -108,31 +119,40 @@ def make_truncation_model(
             "depths must be a nonempty, strictly increasing list of prefix lengths"
         )
 
-    spaces = tuple(build_space(names[:d]) for d in depths)
-    mus = tuple(_measure_from_rule(spaces, mu_rule, i) for i in range(len(spaces)))
-    nus = tuple(_measure_from_rule(spaces, nu_rule, i) for i in range(len(spaces)))
+    mus = _levels(names, depths, mu_rule)
+    nus = _levels(names, depths, nu_rule)
 
-    for level, (space, mu_n, nu_n) in enumerate(zip(spaces, mus, nus)):
-        if not (mu_n.is_finite and nu_n.is_finite):
+    # a level's table is finite iff its value on the level's prefix is
+    for level, depth in enumerate(depths):
+        prefix = (1 << depth) - 1
+        if not (mus[level].value_of_mask(prefix).is_finite
+                and nus[level].value_of_mask(prefix).is_finite):
             raise PreconditionError(
                 f"measures must be finite on every truncation (level {level})"
             )
 
     # consecutive-level agreement implies agreement between any two levels;
-    # every set of a level has the same mask on the next, deeper one
+    # every set of a level has the same mask on the next, deeper one.  A
+    # rule's one table is the same object at both levels and is skipped.
     for level in range(len(depths) - 1):
+        pairs = [
+            (label, measures[level], measures[level + 1])
+            for measures, label in ((mus, "mu"), (nus, "nu"))
+            if measures[level] is not measures[level + 1]
+        ]
+        if not pairs:
+            continue
         for mask in range(1 << depths[level]):
-            for measures, label in ((mus, "mu"), (nus, "nu")):
-                if (measures[level].value_of_mask(mask)
-                        != measures[level + 1].value_of_mask(mask)):
-                    A = MeasurableSet(spaces[level], mask)
+            for label, shallow, deep in pairs:
+                if shallow.value_of_mask(mask) != deep.value_of_mask(mask):
+                    A = MeasurableSet(shallow.space, mask)
                     raise PreconditionError(
                         f"inconsistent generators: {label}({A}) differs between "
                         f"levels {level} and {level + 1}"
                     )
 
     return TruncationModel(
-        atoms=names, depths=depths, spaces=spaces, mus=mus, nus=nus
+        atoms=names, depths=depths, deepest=mus[-1].space, mu=mus[-1], nu=nus[-1]
     )
 
 
@@ -186,14 +206,14 @@ def glue_derivative(model: TruncationModel) -> GlueResult:
     Take a nonempty B inside U_n and let v be the least atom name in B.  At
     every level the identity's bands give B the same equation,
     mu(B) - mu(B minus {f = v}) = v * (nu(B) - nu(B minus {f = v})), and the
-    tail set is empty.  Both sides read only subsets of B, where every level
-    agrees (``make_truncation_model`` checks it).  So level n fails iff the
+    tail set is empty.  Both sides read only subsets of B, where level n's
+    measures are the model's, restricted to U_n.  So level n fails iff the
     deepest check's first failing set, in ascending mask order, lies inside
     U_n, that is iff its mask is below 2^depth.  The identity agrees with
     itself on every prefix, so the glued function is the deepest one.
     """
     family = threshold_tail_family(model.deepest)
-    decomposition = check_decomposition(model.mus[-1], model.nus[-1], family)
+    decomposition = check_decomposition(model.mu, model.nu, family)
     f = derive_function(family)
     witness = decomposition.witness
     per_truncation = tuple(
@@ -205,7 +225,7 @@ def glue_derivative(model: TruncationModel) -> GlueResult:
         function=f if decomposition.holds else None,
         decomposition=decomposition,
         per_truncation=per_truncation,
-        finite_ae=model.nus[-1](f.infinity_set) == ZERO,
+        finite_ae=model.nu(f.infinity_set) == ZERO,
         note=(
             "truncated limit evidence at depth "
             f"{model.depths[-1]}; no genuine limit is certified"
@@ -243,11 +263,11 @@ def verify_sigma_finite(
     """Check mu(A & U_n) = integral of f over A & U_n at every level, and
     that both sides are nondecreasing in n (the truncated limit mechanism).
 
-    Test sets must live on the deepest truncation.  The integral is taken
-    once per distinct set A & U_n, on the deepest truncation: over a set B
-    inside U_n it reads only f on B and nu on subsets of B, where every
-    level's nu agrees (``make_truncation_model`` checks it), so it is the
-    level-n integral.  mu(A & U_n) is read from each level's own mu.
+    Test sets must live on the deepest truncation.  Level n's measures are
+    the model's restricted to U_n, so mu(A & U_n) is read from the model's
+    mu, and the integral is taken once per distinct set A & U_n, on the
+    deepest truncation: over a set B inside U_n it reads only f on B and nu
+    on subsets of B, so it is the level-n integral.
 
     Past ``_EXHAUSTIVE_LIMIT`` blocks the default test sets are the
     polynomial family, a sample: the report then says it is evidence, not a
@@ -261,7 +281,7 @@ def verify_sigma_finite(
     elif test_sets is None:
         test_sets = list(deepest.subsets())
 
-    nu = model.nus[-1]
+    mu, nu = model.mu, model.nu
     prefixes = [(1 << depth) - 1 for depth in model.depths]
     integrals = {}  # truncated mask -> integral over it
     records = []
@@ -270,7 +290,7 @@ def verify_sigma_finite(
         if A.space != deepest:
             raise SpaceMismatchError("test sets must live on the deepest truncation")
         masks = [A.mask & prefix for prefix in prefixes]
-        mu_vals = [mu.value_of_mask(mask) for mu, mask in zip(model.mus, masks)]
+        mu_vals = [mu.value_of_mask(mask) for mask in masks]
         for mask in masks:
             if mask not in integrals:
                 integrals[mask] = choquet_value(f, nu, MeasurableSet(deepest, mask))

@@ -148,7 +148,12 @@ def parse_problem(data: dict) -> ProblemSpec:
                 raise ValueError(f"more than {MAX_ATOMS} atoms in the universe")
             if atoms is None:
                 atoms = [str(k) for k in range(int(n_max) + 1)]
-                depths = [n + 1 for n in range(1, int(n_max) + 1)]
+                if depths is None:
+                    depths = [n + 1 for n in range(1, int(n_max) + 1)]
+            elif n_max is not None and int(n_max) != len(atoms) - 1:
+                raise ValueError(
+                    f"N_max must be len(atoms) - 1 = {len(atoms) - 1}; got {n_max!r}"
+                )
             rules = _object(block["measures"], "truncations.measures")
             spec.model = make_truncation_model(
                 atoms,

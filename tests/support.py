@@ -27,8 +27,12 @@ of sets, every set per epsilon) that the library's closed forms replace.
 The rule oracles are the library's former constructors, which take
 ``ext_sum`` or ``ext_max`` over each set's atoms, so they check the one
 lowest-bit fill per rule set by set; the per-set additivity test sums each
-set's block values.  ``restrict_set`` and ``restrict_function`` cut a set or a
-function to one level of a truncation model, for the per-level oracle.
+set's block values.  The per-level truncation model is the library's former
+construction, every rule materialized on every level and the levels compared
+set by set, so it checks that one table per rule, on the deepest prefix,
+restricts to each level's table and raises the same errors.
+``restrict_set`` and ``restrict_function`` cut a set or a function to one
+level of it, for the per-level oracles.
 The report oracles are the library's former renderers: ``jsonable`` copies
 a report into plain containers, which ``json.dumps`` or the former text
 walk then print, so they check the one-walk renderers byte for byte.
@@ -53,11 +57,13 @@ from choquetrn import (
     ZERO,
     additive_measure,
     build_space,
+    cardinality_measure,
     check_decomposition,
     choquet_value,
     derive_function,
     ext_max,
     ext_sum,
+    max_weight_measure,
     measure_from_table,
     verify_rn,
 )
@@ -69,6 +75,7 @@ from choquetrn.sigma_finite import (
     _EXHAUSTIVE_LIMIT,
     SigmaFiniteRecord,
     SigmaFiniteReport,
+    _listed,
     _polynomial_test_sets,
     threshold_tail_family,
 )
@@ -334,36 +341,109 @@ def default_sigma_test_sets(model):
     return _polynomial_test_sets(deepest)
 
 
-def restrict_set(model, A, level):
+@dataclasses.dataclass(frozen=True)
+class PerLevelModel:
+    """A truncation model as its levels, each with its own space and tables."""
+
+    atoms: tuple
+    depths: tuple
+    spaces: tuple
+    mus: tuple
+    nus: tuple
+
+    @property
+    def deepest(self):
+        return self.spaces[-1]
+
+
+def _level_measure(spaces, rule, level):
+    """The rule's measure on ``spaces[level]``, built on that level alone."""
+    space = spaces[level]
+    name = rule.get("rule")
+    if name == "indicator_nonempty":
+        return max_weight_measure(space, dict.fromkeys(space.atoms, rule.get("value", 1)))
+    if name == "max_element":
+        return max_weight_measure(space, {a: a for a in space.atoms})
+    if name == "additive_sequence":
+        weights = _listed(rule, "weights", len(spaces[-1].atoms), "weights, one per atom")
+        return additive_measure(space, dict(zip(space.atoms, weights)))
+    if name == "cardinality":
+        return cardinality_measure(space, rule.get("scale", 1))
+    if name == "explicit":
+        entries = _listed(rule, "tables", len(spaces), "tables, one per level")[level]
+        return measure_from_table(space, [(e["set"], e["value"]) for e in entries])
+    raise PreconditionError(f"unknown truncation measure rule {name!r}")
+
+
+def per_level_model(atoms, mu_rule, nu_rule, depths=None):
+    """The library's former truncation model: every rule materialized on
+    every level, finiteness read from each level's table, and consecutive
+    levels compared on every set of the smaller one, for both measures."""
+    names = build_space(atoms).atoms
+    if depths is None:
+        depths = list(range(1, len(names) + 1))
+    depths = tuple(depths)
+    if (not depths or list(depths) != sorted(set(depths))
+            or depths[-1] > len(names) or depths[0] < 1):
+        raise PreconditionError(
+            "depths must be a nonempty, strictly increasing list of prefix lengths"
+        )
+
+    spaces = tuple(build_space(names[:d]) for d in depths)
+    mus = tuple(_level_measure(spaces, mu_rule, i) for i in range(len(spaces)))
+    nus = tuple(_level_measure(spaces, nu_rule, i) for i in range(len(spaces)))
+
+    for level, (mu_n, nu_n) in enumerate(zip(mus, nus)):
+        if not (mu_n.is_finite and nu_n.is_finite):
+            raise PreconditionError(
+                f"measures must be finite on every truncation (level {level})"
+            )
+
+    for level in range(len(depths) - 1):
+        for mask in range(1 << depths[level]):
+            for measures, label in ((mus, "mu"), (nus, "nu")):
+                if (measures[level].value_of_mask(mask)
+                        != measures[level + 1].value_of_mask(mask)):
+                    A = MeasurableSet(spaces[level], mask)
+                    raise PreconditionError(
+                        f"inconsistent generators: {label}({A}) differs between "
+                        f"levels {level} and {level + 1}"
+                    )
+
+    return PerLevelModel(atoms=names, depths=depths, spaces=spaces, mus=mus, nus=nus)
+
+
+def restrict_set(levels, A, level):
     """A & U_level, expressed on the level's space."""
-    return MeasurableSet(model.spaces[level], A.mask & ((1 << model.depths[level]) - 1))
+    return MeasurableSet(levels.spaces[level], A.mask & ((1 << levels.depths[level]) - 1))
 
 
-def restrict_function(model, f, level):
+def restrict_function(levels, f, level):
     """f on U_level, expressed on the level's space."""
-    return SimpleFunction(model.spaces[level], f.values[: model.depths[level]])
+    return SimpleFunction(levels.spaces[level], f.values[: levels.depths[level]])
 
 
-def per_level_sigma_finite(model, f, test_sets=None):
-    """The sigma-finite verification with f restricted, and the integral
-    evaluated by the level-set oracle, afresh for every (test set, level)."""
-    deepest = model.deepest
+def per_level_sigma_finite(levels, f, test_sets=None):
+    """The sigma-finite verification on a ``per_level_model``, with f
+    restricted, and the integral evaluated by the level-set oracle, afresh
+    for every (test set, level)."""
+    deepest = levels.deepest
     if f.space != deepest:
         raise PreconditionError("f must live on the deepest truncation")
     sampled = test_sets is None and deepest.n_blocks > _EXHAUSTIVE_LIMIT
     if test_sets is None:
-        test_sets = default_sigma_test_sets(model)
+        test_sets = default_sigma_test_sets(levels)
 
     records = []
     holds = True
     for A in test_sets:
         mu_vals = []
         int_vals = []
-        for level in range(len(model.depths)):
-            A_n = restrict_set(model, A, level)
-            f_n = restrict_function(model, f, level)
-            mu_vals.append(model.mus[level](A_n))
-            int_vals.append(level_set_choquet_integral(f_n, model.nus[level], A_n).total)
+        for level in range(len(levels.depths)):
+            A_n = restrict_set(levels, A, level)
+            f_n = restrict_function(levels, f, level)
+            mu_vals.append(levels.mus[level](A_n))
+            int_vals.append(level_set_choquet_integral(f_n, levels.nus[level], A_n).total)
         equal = all(a == b for a, b in zip(mu_vals, int_vals))
         nondecreasing = all(
             x <= y for x, y in zip(mu_vals, mu_vals[1:])
@@ -389,9 +469,9 @@ def per_level_sigma_finite(model, f, test_sets=None):
     )
 
 
-def per_level_glue(model):
-    """Gluing by one decomposition check per level: (holds, per-level
-    verdicts, glued function or None, finite_ae).
+def per_level_glue(levels):
+    """Gluing by one decomposition check per level of a ``per_level_model``:
+    (holds, per-level verdicts, glued function or None, finite_ae).
 
     Each level derives its own threshold-tail density, which must agree with
     the previous level's on the shared prefix; a level's verdict is its
@@ -399,7 +479,7 @@ def per_level_glue(model):
     verdicts = []
     functions = []
     finite_ae = True
-    for space, mu_n, nu_n in zip(model.spaces, model.mus, model.nus):
+    for space, mu_n, nu_n in zip(levels.spaces, levels.mus, levels.nus):
         family = threshold_tail_family(space)
         f_n = derive_function(family)
         compatible = not functions or (

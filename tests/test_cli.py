@@ -547,6 +547,32 @@ class TestArgumentErrors:
         assert (code, out) == (EXIT_INPUT, "")
         assert "input error: truncations: " in err
 
+    def test_inconsistent_explicit_levels_are_input_error(self, capsys, tmp_path):
+        path = tmp_path / "levels.json"
+        path.write_text(json.dumps({"truncations": {
+            "atoms": ["0", "1"], "depths": [1, 2],
+            "measures": {"mu": {"rule": "explicit", "tables": [
+                [{"set": [], "value": "0"}, {"set": ["0"], "value": "1"}],
+                [{"set": [], "value": "0"}, {"set": ["0"], "value": "2"},
+                 {"set": ["1"], "value": "1"}, {"set": ["0", "1"], "value": "2"}]]},
+                "nu": {"rule": "cardinality"}},
+        }}))
+        code, out, err = run(capsys, "sigma-finite", "--input", str(path))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == ("input error: truncations: inconsistent generators: "
+                       "mu({0}) differs between levels 0 and 1\n")
+
+    def test_depths_next_to_n_max_are_kept(self, capsys, tmp_path):
+        path = tmp_path / "depths.json"
+        path.write_text(json.dumps({"truncations": {
+            "N_max": 3, "depths": [2],
+            "measures": {"mu": {"rule": "max_element"},
+                         "nu": {"rule": "indicator_nonempty"}},
+        }}))
+        code, out, _ = run(capsys, "sigma-finite", "--input", str(path))
+        assert code == EXIT_PASS
+        assert json.loads(out)["tables"]["function"] == {"0": "0", "1": "1"}
+
     def test_undecodable_file_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"atoms": ["\xe9"]}')

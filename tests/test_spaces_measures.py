@@ -231,8 +231,8 @@ class TestRuleTables:
                 atoms, {"rule": "indicator_nonempty", "value": str(value)},
                 {"rule": "cardinality"},
             )
-            for space, mu in zip(model.spaces, model.mus):
-                self.assert_same(mu, per_set_indicator_nonempty_measure(space, value))
+            self.assert_same(model.mu,
+                             per_set_indicator_nonempty_measure(model.deepest, value))
 
     def test_is_additive_matches_per_set_oracle(self):
         outcomes = {True: 0, False: 0}

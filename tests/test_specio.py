@@ -92,6 +92,33 @@ def test_truncation_block():
     }
 
 
+def _rules_block(**block):
+    block["measures"] = {"mu": {"rule": "max_element"},
+                         "nu": {"rule": "indicator_nonempty"}}
+    return {"truncations": block}
+
+
+def test_n_max_honours_given_depths():
+    spec = parse_problem(_rules_block(N_max=3, depths=[2]))
+    assert spec.model.atoms == ("0", "1", "2", "3")
+    assert spec.model.depths == (2,)
+    assert spec.model.deepest.atoms == ("0", "1")
+    # without depths, U_n = {0, ..., n} for n = 1..N_max
+    assert parse_problem(_rules_block(N_max=3)).model.depths == (2, 3, 4)
+
+
+def test_atoms_with_n_max():
+    spec = parse_problem(_rules_block(atoms=["0", "1", "2"], N_max=2))
+    assert spec.model.depths == (1, 2, 3)
+    for n_max, message in ((3, "N_max must be len(atoms) - 1 = 2; got 3"),
+                           ("1", "N_max must be len(atoms) - 1 = 2; got '1'"),
+                           ("abc", "invalid literal for int() with base 10: 'abc'")):
+        with pytest.raises(SpecFileError) as err:
+            parse_problem(_rules_block(atoms=["0", "1", "2"], N_max=n_max))
+        assert err.value.location == "truncations"
+        assert str(err.value) == f"truncations: {message}"
+
+
 def test_error_locations():
     with pytest.raises(SpecFileError) as err:
         parse_problem({"atoms": ["a", "a"]})
@@ -231,6 +258,13 @@ def test_error_locations():
              {"set": ["1"], "value": "1"}, {"set": ["0", "1"], "value": "2"},
              {"set": ["1", "0"], "value": "2"}]]},
         "nu": {"rule": "cardinality"}}}},
+     "truncations"),
+    # N_max next to atoms counts them; depths next to N_max are kept
+    ({"truncations": {"atoms": ["0", "1"], "N_max": [1], "measures": {
+        "mu": {"rule": "cardinality"}, "nu": {"rule": "cardinality"}}}},
+     "truncations"),
+    ({"truncations": {"N_max": 3, "depths": [5], "measures": {
+        "mu": {"rule": "cardinality"}, "nu": {"rule": "cardinality"}}}},
      "truncations"),
 ])
 def test_malformed_entries_are_located(data, location):
