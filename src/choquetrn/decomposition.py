@@ -141,7 +141,7 @@ def make_family(
     for alpha, A in breakpoints:
         try:
             a = ExtReal(alpha).as_fraction()
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except (ValueError, OverflowError) as exc:
             raise InvalidFamilyError(
                 f"thresholds must be finite nonnegative rationals: {alpha!r}"
             ) from exc

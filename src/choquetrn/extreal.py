@@ -7,9 +7,10 @@ every comparison and every arithmetic step is exact.
 ``ExtReal`` is the one reader of numbers: every value a caller supplies
 (measure weights and tables, function values, family thresholds, the Hahn
 parameter tau, numeric atom names) is read by its constructor, which takes an
-int, a Fraction, a "p/q" string or "inf" and refuses floats and negative
-values.  Its order is the order of the library: infinity sorts last, so
-callers sort and take the least of values without a key.
+int, a Fraction, a "p/q" string or "inf" and refuses floats, negative
+values and zero denominators.  Its order is the order of the library:
+infinity sorts last, so callers sort and take the least of values without a
+key.
 
 Conventions: ``c * inf = inf`` for ``c > 0`` and ``0 * inf = 0``.  The latter
 is what makes a zero-measure layer under an infinite height contribute nothing
@@ -56,7 +57,10 @@ class ExtReal:
             )
         elif isinstance(value, str):
             text = value.strip()
-            frac = None if text in ("inf", "+inf", "infinity") else Fraction(text)
+            try:
+                frac = None if text in ("inf", "+inf", "infinity") else Fraction(text)
+            except ZeroDivisionError:
+                raise ValueError(f"{value!r}: a denominator may not be 0") from None
         else:
             frac = Fraction(value)
         if frac is not None and frac < 0:

@@ -255,6 +255,8 @@ def solve_rn(mu: MonotoneMeasure, nu: MonotoneMeasure) -> SolverCertificate:
 # -- the classical additive pathway ------------------------------------------
 
 def _require_additive(*measures) -> None:
+    if not all(m.is_finite for m in measures):
+        raise PreconditionError("the classical pathway requires finite measures")
     for m in measures:
         if not m.is_additive():
             raise NotAdditiveError(

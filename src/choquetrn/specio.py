@@ -50,9 +50,7 @@ class ProblemSpec:
 MAX_ATOMS = 17
 
 # what building the library objects raises on malformed entries
-_MALFORMED = (
-    ValueError, KeyError, IndexError, TypeError, ZeroDivisionError, ChoquetRnError,
-)
+_MALFORMED = (ValueError, KeyError, IndexError, TypeError, ChoquetRnError)
 
 
 def _reason(exc: Exception) -> str:

@@ -8,10 +8,12 @@ import json
 import os
 import sys
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from choquetrn import cli
 from choquetrn.cli import (
     EXIT_FAIL, EXIT_INPUT, EXIT_PASS, EXIT_USAGE, MAX_N, main,
 )
@@ -48,6 +50,27 @@ UNSOLVABLE = {
 }
 
 
+# every verdict of every command holds on the first file and, for each
+# command that has verdicts, one fails on the second
+CONTRACT_HOLDS = dict(SOLVABLE, truncations={"N_max": 2, "measures": {
+    "mu": {"rule": "max_element"}, "nu": {"rule": "indicator_nonempty"}}})
+CONTRACT_FAILS = {
+    "atoms": ["a", "b"],
+    "measures": {
+        "nu": {"rule": "additive", "weights": {"a": "0", "b": "1/3"}},
+        "mu": {"rule": "additive", "weights": {"a": "1", "b": "1"}},
+    },
+    "functions": {"f": {"a": "1", "b": "2"}, "g": {"a": "3", "b": "1"}},
+    "family": [
+        {"alpha": "0", "set": ["a", "b"]},
+        {"alpha": "1", "set": ["a"]},
+        {"alpha": "5", "set": []},
+    ],
+    "truncations": {"N_max": 2, "measures": {
+        "mu": {"rule": "cardinality"}, "nu": {"rule": "cardinality"}}},
+}
+
+
 @pytest.fixture
 def solvable_path(tmp_path):
     path = tmp_path / "solvable.json"
@@ -80,6 +103,26 @@ class TestExitStatuses:
         report = json.loads(out)
         assert report["verdicts"]["solvable"] is False
         assert report["tables"]["chains_refuted"] == 2
+
+    @pytest.mark.parametrize("command", [
+        "props", "integrate", "comonotone", "check-decomposition", "derive",
+        "dyadic", "verify", "solve", "classical", "sigma-finite",
+    ])
+    def test_pass_is_every_verdict_and_sets_the_status(self, capsys, tmp_path,
+                                                       command):
+        statuses = set()
+        for k, problem in enumerate((CONTRACT_HOLDS, CONTRACT_FAILS)):
+            path = tmp_path / f"problem{k}.json"
+            path.write_text(json.dumps(problem))
+            code, out, _ = run(capsys, command, "--input", str(path))
+            report = json.loads(out)
+            assert report["pass"] == all(report["verdicts"].values())
+            assert code == report["exit_status"] == (
+                EXIT_PASS if report["pass"] else EXIT_FAIL)
+            statuses.add(code)
+        # a command with verdicts fails on the second file
+        assert statuses == ({EXIT_PASS} if command in ("integrate", "derive", "dyadic")
+                            else {EXIT_PASS, EXIT_FAIL})
 
     def test_usage_error_is_two(self, capsys):
         code, _, err = run(capsys, "not-a-command")
@@ -742,8 +785,18 @@ _EXAMPLES = st.sampled_from(["ex-3-6", "ex-4-4", "classical", "ex-0"])
 )
 def test_generated_invocations_exit_cleanly(command, options, example, with_input,
                                             problem):
-    """Any command line and problem file ends in a status 0-3, no traceback."""
-    with tempfile.TemporaryDirectory() as tmp:
+    """Any command line and problem file ends in a status 0-3, no traceback;
+    a report passes when every verdict holds and exits 0 exactly when it
+    passes.  The one exception, example ex-3-6, passes when its densities
+    verify yet are not equal a.e."""
+    reports = []
+    run_command = cli._run_command
+
+    def keep(args):
+        reports.append(run_command(args))
+        return reports[-1]
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_run_command", keep):
         argv = [command]
         for flag, value in options:
             argv += [flag, os.path.join(tmp, value) if flag == "--out" else value]
@@ -764,3 +817,12 @@ def test_generated_invocations_exit_cleanly(command, options, example, with_inpu
     assert "Traceback" not in err.getvalue()
     if code in (EXIT_USAGE, EXIT_INPUT) or "--out" in argv:
         assert out.getvalue() == ""
+    if code in (EXIT_PASS, EXIT_FAIL):
+        (report,) = reports
+        verdicts = report["verdicts"]
+        if command == "example" and example == "ex-3-6":
+            others = {k: v for k, v in verdicts.items() if k != "equal_ae"}
+            assert report["pass"] == (all(others.values()) and not verdicts["equal_ae"])
+        else:
+            assert report["pass"] == all(verdicts.values())
+        assert code == (EXIT_PASS if report["pass"] else EXIT_FAIL)

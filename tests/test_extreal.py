@@ -43,6 +43,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ExtReal("-1/2")
 
+    @pytest.mark.parametrize("text", ["1/0", "0/0", " 3/00 "])
+    def test_zero_denominator_is_a_value_error_naming_the_value(self, text):
+        with pytest.raises(ValueError) as err:
+            ExtReal(text)
+        assert str(err.value) == f"{text!r}: a denominator may not be 0"
+
     def test_idempotent_coercion(self):
         v = ExtReal("7/2")
         assert ExtReal(v) == v

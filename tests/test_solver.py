@@ -285,6 +285,16 @@ class TestHahn:
         with pytest.raises(NotAdditiveError):
             hahn_positive_set(fx.mu, fx.nu, 1)
 
+    def test_infinite_measure_is_refused_as_infinite(self):
+        space = build_space(["a", "b"])
+        infinite = additive_measure(space, {"a": "inf", "b": 1})
+        finite = additive_measure(space, {"a": 1, "b": 1})
+        for mu, nu in ((infinite, finite), (finite, infinite)):
+            with pytest.raises(PreconditionError) as err:
+                classical_rn_check(mu, nu)
+            assert not isinstance(err.value, NotAdditiveError)
+            assert str(err.value) == "the classical pathway requires finite measures"
+
     def test_tau_validation(self):
         fx = fixture_f2()
         with pytest.raises(ValueError):

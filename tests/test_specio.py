@@ -268,10 +268,12 @@ def test_error_locations():
      "truncations"),
 ])
 def test_malformed_entries_are_located(data, location):
-    """Wrong types and values in any entry give a located SpecFileError."""
+    """Wrong types and values in any entry give a located SpecFileError,
+    whose message is the library's own, never a Python repr."""
     with pytest.raises(SpecFileError) as err:
         parse_problem(data)
     assert err.value.location == location
+    assert "Fraction(" not in str(err.value)
 
 
 def _truncations(mu_rule):
@@ -301,8 +303,16 @@ def _explicit_tables(tables):
      "measures.m: unknown atom 'q'"),
     ("props", {"atoms": ["a"], "measures": {"m": {"rule": "max_weight"}}},
      "measures.m: missing key 'weights'"),
+    ("props", {"atoms": ["a"], "measures": {"m": {"rule": "cardinality", "scale": "1/0"}}},
+     "measures.m: '1/0': a denominator may not be 0"),
+    ("props", {"atoms": ["a"], "functions": {"f": {"a": "2/0"}}},
+     "functions.f: '2/0': a denominator may not be 0"),
+    ("sigma-finite", _truncations({"rule": "additive_sequence",
+                                   "weights": ["1", "0/0", "1", "1"]}),
+     "truncations: '0/0': a denominator may not be 0"),
 ], ids=["too-few-weights", "weight-object", "too-few-tables", "tables-string",
-        "unknown-atom", "missing-weights"])
+        "unknown-atom", "missing-weights", "zero-scale-denominator",
+        "zero-value-denominator", "zero-weight-denominator"])
 def test_malformed_rules_say_what_they_expected(capsys, tmp_path, command, data,
                                                 message):
     """A malformed rule names what it expected, and the CLI exits 3 with it."""
