@@ -244,33 +244,48 @@ def _last_bands(space: MeasurableSpace, bands) -> list:
     ]
 
 
-def _pair_record(A, bands, p, q, nu_values, mu_values) -> PairRecord:
-    """Bands p < q on A, from the per-band values nu(A & S_k), mu(A & S_k)."""
-    dnu = nu_values[p] - nu_values[q]
-    dmu = mu_values[p] - mu_values[q]
-    left_c = bands[p].hi
-    right_c = bands[q].lo
-    left = left_c * dnu
-    right = right_c * dnu
-    return PairRecord(
-        set=A,
-        lower_band=p,
-        upper_band=q,
-        left_coefficient=left_c,
-        right_coefficient=right_c,
-        left=left,
-        middle=dmu,
-        right=right,
-        ok=left <= dmu <= right,
-    )
+def _cut_values(B, p, uppers, bands, band_masks, mu_t, nu_t) -> list:
+    """(q, left, middle, right, ok) of each band pair (p, q), q in ``uppers``,
+    on a cut B = A & S_p, read from the Fraction tables.  Each drop is taken
+    over the product of its two entries' denominators, so each value is one
+    Fraction and ``ok`` compares integers."""
+    a, b = bands[p].hi.numerator, bands[p].hi.denominator
+    mu_B, nu_B = mu_t[B], nu_t[B]
+    out = []
+    for q in uppers:
+        C = B & band_masks[q]
+        mu_C, nu_C = mu_t[C], nu_t[C]
+        # the mu drop is dmu / e and the nu drop dnu / g, with e, g > 0
+        e = mu_B.denominator * mu_C.denominator
+        dmu = mu_B.numerator * mu_C.denominator - mu_C.numerator * mu_B.denominator
+        g = nu_B.denominator * nu_C.denominator
+        dnu = nu_B.numerator * nu_C.denominator - nu_C.numerator * nu_B.denominator
+        c, d = bands[q].lo.numerator, bands[q].lo.denominator
+        out.append((q, Fraction(a * dnu, b * g), Fraction(dmu, e),
+                    Fraction(c * dnu, d * g),
+                    a * dnu * e <= b * g * dmu and d * g * dmu <= c * dnu * e))
+    return out
 
 
-def _pair_records(A, bands, pairs, band_masks, mu_t, nu_t):
-    """The records of every band pair on A, read from the Fraction tables."""
-    cuts = [A.mask & S for S in band_masks]
-    nu_values = [nu_t[c] for c in cuts]
-    mu_values = [mu_t[c] for c in cuts]
-    return (_pair_record(A, bands, p, q, nu_values, mu_values) for p, q in pairs)
+def _pair_records(sets, bands, pairs, band_masks, mu_t, nu_t):
+    """The records of every band pair on each set, set by set.  The values
+    of the pair (p, q) are computed once per cut A & S_p and shared (see
+    ``check_decomposition``)."""
+    uppers: dict = {}
+    for p, q in pairs:
+        uppers.setdefault(p, []).append(q)
+    shared = {p: {} for p in uppers}
+    for A in sets:
+        for p, qs in uppers.items():
+            B = A.mask & band_masks[p]
+            values = shared[p].get(B)
+            if values is None:
+                values = shared[p][B] = _cut_values(
+                    B, p, qs, bands, band_masks, mu_t, nu_t)
+            left_c = bands[p].hi
+            for q, left, middle, right, ok in values:
+                yield PairRecord(A, p, q, left_c, bands[q].lo, left, middle,
+                                 right, ok)
 
 
 def check_decomposition(
@@ -292,8 +307,12 @@ def check_decomposition(
     order, on the first failing set in canonical order.  That set is the
     first failing B: every failing set A fails at some cut B = A & S_k, a
     submask of A that comes no later, and every failing B fails as a set.
-    ``detail`` adds one record per band pair and set.  Requires finite
-    measures.
+    ``detail`` adds one record per band pair and set, sets in canonical
+    order and pairs in lexicographic order within each set.  Bands decrease,
+    so A & S_q = (A & S_p) & S_q for p < q: the record of (A, p, q) depends
+    on A only through its cut A & S_p.  Its values are computed once per
+    (p, q, A & S_p), in integers, and the records of every set with that cut
+    share them.  Requires finite measures.
     """
     space = family.space
     if mu.space != space or nu.space != space:
@@ -328,7 +347,8 @@ def check_decomposition(
     witness = None
     if failing is not None:
         first = next(
-            r for r in _pair_records(failing, bands, pairs, band_masks, mu_t, nu_t)
+            r for r in _pair_records(
+                (failing,), bands, pairs, band_masks, mu_t, nu_t)
             if not r.ok
         )
         side = "left" if first.left > first.middle else "right"
@@ -347,11 +367,8 @@ def check_decomposition(
         )
     records = ()
     if detail:
-        records = tuple(
-            record
-            for A in space.subsets()
-            for record in _pair_records(A, bands, pairs, band_masks, mu_t, nu_t)
-        )
+        records = tuple(_pair_records(
+            space.subsets(), bands, pairs, band_masks, mu_t, nu_t))
 
     tail_set = family.tail_set
     tail_mu = mu(tail_set)

@@ -22,8 +22,11 @@ level at a time, and build no converted copy of it.  ``render_json`` writes
 exactly the text of ``json.dumps(tree, sort_keys=True, indent=2) + "\\n"``
 for the converted tree: strings are escaped to ASCII by the ``json``
 module's own encoder, and each list or sorted mapping is joined at its
-indentation level.  ``render_text`` prints one ``path: value`` line per leaf
-and one ``path: [a, b]`` line per list of leaves, in sorted key order.
+indentation level.  A report can hold one ``MeasurableSet`` object in many
+places (a detail record per set and band pair), so ``render_json`` converts
+each set object once per indentation and reuses the text.  ``render_text``
+prints one ``path: value`` line per leaf and one ``path: [a, b]`` line per
+list of leaves, in sorted key order.
 Exact values can exceed Python's int/str conversion limit, so both lift it
 for the whole walk.
 """
@@ -149,11 +152,22 @@ def _json_leaf(rule):
 def render_json(report: dict) -> str:
     rules = _Lookup(_rule)
     leaves = _Lookup(lambda cls: _json_leaf(rules[cls]))
+    # (id, indentation) -> (set, text); the entry holds the set, so its id
+    # cannot pass to another object while the walk runs
+    sets: dict = {}
 
     def walk(obj, indent):
         encode = leaves[type(obj)]
         if encode is not None:
             return encode(obj)
+        if type(obj) is not MeasurableSet:
+            return container(obj, indent)
+        entry = sets.get((id(obj), indent))
+        if entry is None:
+            entry = sets[id(obj), indent] = obj, container(obj, indent)
+        return entry[1]
+
+    def container(obj, indent):
         shape, convert = rules[type(obj)]
         value = obj if convert is None else convert(obj)
         if not value:

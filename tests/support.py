@@ -20,7 +20,11 @@ subset recursion, which reads one equation per set and step instead, never
 skips a feasible chain and picks the same heights.  The record checker
 re-checks each refutation record by table reads alone.  The
 decomposition oracle tests every ordered band pair on every set, so it checks
-that one equation per set, from its last band to the next, loses nothing.  The
+that one equation per set, from its last band to the next, loses nothing.  Its
+records are the library's former per-set construction (``_pair_record``, each
+record computed afresh from the measures of its set's cuts), so it checks
+that computing each record's values once per cut A & S_p, in integers, and
+sharing them changes no record.  The
 dyadic, null-additivity and strong absolute continuity oracles are the
 direct loops over the definitions (the grid of dyadic left limits, all pairs
 of sets, every set per epsilon) that the library's closed forms replace.
@@ -731,9 +735,31 @@ def check_chain_records(mu, nu, records):
         assert r.chains == factorial(space.n_blocks - len(order)), r
 
 
+def _pair_record(A, bands, p, q, nu_values, mu_values) -> PairRecord:
+    """Bands p < q on A, from the per-band values nu(A & S_k), mu(A & S_k)."""
+    dnu = nu_values[p] - nu_values[q]
+    dmu = mu_values[p] - mu_values[q]
+    left_c = bands[p].hi
+    right_c = bands[q].lo
+    left = left_c * dnu
+    right = right_c * dnu
+    return PairRecord(
+        set=A,
+        lower_band=p,
+        upper_band=q,
+        left_coefficient=left_c,
+        right_coefficient=right_c,
+        left=left,
+        middle=dmu,
+        right=right,
+        ok=left <= dmu <= right,
+    )
+
+
 def all_pairs_decomposition(mu, nu, family, detail=False):
     """The decomposition check over every ordered band pair p < q on every
-    set, four measure lookups per pair, with the library's report fields."""
+    set, each record computed afresh from the measures of the set's cuts
+    A & S_k, with the library's report fields."""
     space = family.space
     bands = family.bands()
     nb = len(bands)
@@ -745,47 +771,27 @@ def all_pairs_decomposition(mu, nu, family, detail=False):
     ]
 
     witness = None
-    holds = True
     records = []
-    n_sets = 0
     for A in space.subsets():
-        n_sets += 1
+        nu_values = [nu(A & band.set).as_fraction() for band in bands]
+        mu_values = [mu(A & band.set).as_fraction() for band in bands]
         for p, q in pairs:
-            Sp, Sq = bands[p].set, bands[q].set
-            dnu = nu(A & Sp).as_fraction() - nu(A & Sq).as_fraction()
-            dmu = mu(A & Sp).as_fraction() - mu(A & Sq).as_fraction()
-            left_c = bands[p].hi
-            right_c = bands[q].lo
-            left = left_c * dnu
-            right = right_c * dnu
-            ok = left <= dmu <= right
+            r = _pair_record(A, bands, p, q, nu_values, mu_values)
             if detail:
-                records.append(
-                    PairRecord(
-                        set=A,
-                        lower_band=p,
-                        upper_band=q,
-                        left_coefficient=left_c,
-                        right_coefficient=right_c,
-                        left=left,
-                        middle=dmu,
-                        right=right,
-                        ok=ok,
-                    )
-                )
-            if not ok and holds:
-                holds = False
-                side = "left" if left > dmu else "right"
+                records.append(r)
+            if not r.ok and witness is None:
+                side = "left" if r.left > r.middle else "right"
                 witness = Witness(
                     kind="decomposition-inequality",
-                    sets=(A, Sp, Sq),
-                    values=(ExtReal(left), ExtReal(dmu), ExtReal(right)),
+                    sets=(A, bands[p].set, bands[q].set),
+                    values=(ExtReal(r.left), ExtReal(r.middle), ExtReal(r.right)),
                     detail=(
                         f"{side} inequality fails on A={A}: "
-                        f"{left} <= {dmu} <= {right} with coefficients "
-                        f"[{left_c}, {right_c}]"
+                        f"{r.left} <= {r.middle} <= {r.right} with coefficients "
+                        f"[{r.left_coefficient}, {r.right_coefficient}]"
                     ),
                 )
+    holds = witness is None
 
     tail = family.tail_set
     tail_mu = mu(tail)
@@ -807,7 +813,7 @@ def all_pairs_decomposition(mu, nu, family, detail=False):
         tail_nu=tail_nu,
         tail_ok=tail_ok,
         checked_pairs=len(pairs),
-        checked_sets=n_sets,
+        checked_sets=space.n_subsets(),
         records=tuple(records),
     )
 

@@ -71,6 +71,22 @@ CONTRACT_FAILS = {
 }
 
 
+# one band pair fails (on {b}) and the zero-plus set {b, c} is not the universe
+DECOMPOSITION_FAILS = {
+    "atoms": ["a", "b", "c"],
+    "measures": {
+        "nu": {"rule": "additive", "weights": {"a": "1", "b": "1/2", "c": "1/3"}},
+        "mu": {"rule": "additive", "weights": {"a": "0", "b": "1", "c": "2/3"}},
+    },
+    "family": [
+        {"alpha": "0", "set": ["a", "b", "c"]},
+        {"alpha": "1", "set": ["c"]},
+        {"alpha": "2", "set": []},
+    ],
+    "zero_plus": ["b", "c"],
+}
+
+
 @pytest.fixture
 def solvable_path(tmp_path):
     path = tmp_path / "solvable.json"
@@ -414,6 +430,20 @@ class TestReports:
         assert (code, err) == (EXIT_PASS, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # the full table of band-pair records, pinned the same way
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "9c0cf7714dcd4ce27ec2fa625b074d8a178e5bd89a3eae6ffc95febf0af7afb2"),
+        ("text", "72e808b09fa328d4848005bde4ed2ce250e6fd91f88c35ab94c036febea0c1aa"),
+    ])
+    def test_check_decomposition_report_is_pinned(self, capsys, tmp_path, fmt,
+                                                  digest):
+        path = tmp_path / "fails.json"
+        path.write_text(json.dumps(DECOMPOSITION_FAILS))
+        code, out, err = run(capsys, "check-decomposition", "--input", str(path),
+                             "--format", fmt)
+        assert (code, err) == (EXIT_FAIL, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_digest_and_input_echo(self, capsys, solvable_path, tmp_path):
         _, out, _ = run(capsys, "verify", "--input", solvable_path)
         report = json.loads(out)
@@ -672,9 +702,19 @@ class TestArgumentErrors:
 
 # -- generated command lines and problem files --------------------------------
 #
-# A problem is built well formed over one to three atoms, then a few of its
-# entries are replaced by junk or removed, so that runs reach every command's
-# kernel as well as every parser branch.
+# A problem is built well formed over one to three atoms, then, in two draws
+# of five, one or two of its entries are replaced by junk or removed.  Most
+# command lines carry only options their command reads, with values it
+# accepts.  So runs reach every command's kernel and report as well as every
+# parser branch.
+
+
+def _weighted(*choices):
+    """One of the (weight, strategy) choices, drawn in proportion to weight."""
+    return st.sampled_from(
+        [strategy for weight, strategy in choices for _ in range(weight)]
+    ).flatmap(lambda strategy: strategy)
+
 
 _JUNK = st.one_of(
     st.sampled_from(["-1", "x", "1/0", "", "inf", "a"]),
@@ -729,19 +769,21 @@ def _problems(draw):
         "measures": {"mu": measure(), "nu": measure()},
         "functions": {name: {a: draw(_VALUES) for a in atoms}
                       for name in ("f", "g")},
+        # decreasing sets: the atoms after each of up to two cuts of one order
         "family": [{"alpha": "0", "set": atoms}] + [
-            {"alpha": str(k + 1), "set": subset}
-            for k, subset in enumerate(draw(st.lists(
-                st.sampled_from(subsets), max_size=2)))
+            {"alpha": str(k + 1), "set": order[cut:]}
+            for order in [draw(st.permutations(atoms))]
+            for k, cut in enumerate(sorted(draw(st.lists(
+                st.integers(1, len(atoms)), max_size=2, unique=True))))
         ],
     }
-    if draw(st.booleans()):
+    if draw(st.sampled_from((True, True, True, False))):
         problem["truncations"] = {
             "N_max": draw(st.integers(min_value=1, max_value=3)),
             "measures": {"mu": sigma_measure(), "nu": sigma_measure()},
             "family": "threshold_tail",
         }
-    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
         node = problem
         while True:
             key = draw(st.sampled_from(
@@ -758,37 +800,68 @@ def _problems(draw):
     return problem
 
 
-_COMMANDS = st.sampled_from([
+_COMMANDS = [
     "props", "integrate", "comonotone", "check-decomposition", "derive",
     "dyadic", "verify", "solve", "classical", "sigma-finite", "example",
-])
-_OPTIONS = st.lists(st.one_of(
+]
+# any option with any value: most are refused or name nothing in the file
+_ANY_OPTION = st.one_of(
     st.tuples(st.just("--set"), st.sampled_from(["a", "a,b", "zz", ",", ""])),
     st.tuples(st.just("--n"), st.sampled_from(["-1", "0", "1", "2", "3"])),
     st.tuples(st.sampled_from(["--mu", "--nu", "--f", "--g"]),
               st.sampled_from(["mu", "nu", "f", "g", "zz"])),
     st.tuples(st.just("--format"), st.sampled_from(["json", "text"])),
     st.tuples(st.just("--out"), st.sampled_from(["report", "missing/report"])),
-), max_size=2)
-_EXAMPLES = st.sampled_from(["ex-3-6", "ex-4-4", "classical", "ex-0"])
+)
+# the options each command (or example) reads besides --input, and values
+# they accept
+_READS = {
+    "props": ("--mu", "--nu"), "integrate": ("--f", "--nu", "--set"),
+    "comonotone": ("--f", "--g"), "check-decomposition": ("--mu", "--nu"),
+    "derive": (), "dyadic": ("--n",), "verify": ("--mu", "--nu", "--f"),
+    "solve": ("--mu", "--nu"), "classical": ("--mu", "--nu"),
+    "sigma-finite": (), "example ex-3-6": (), "example ex-4-4": ("--n",),
+    "example classical": (), "example ex-0": (),
+}
+_ACCEPTED = {
+    "--set": ["a", "a,b"], "--n": ["1", "2", "3"], "--mu": ["mu", "nu"],
+    "--nu": ["nu", "mu"], "--f": ["f", "g"], "--g": ["g", "f"],
+    "--format": ["json", "text"], "--seed": ["0", "7"], "--out": ["report"],
+}
+
+
+@st.composite
+def _invocations(draw):
+    """(command line, whether --input is given): three options in four are
+    ones the command reads, and example reads no file."""
+    command = draw(st.sampled_from(_COMMANDS))
+    argv = [command]
+    if command == "example":
+        argv.append(draw(st.sampled_from(
+            ["ex-3-6", "ex-4-4", "classical"] * 2 + ["ex-0"])))
+    reads = _READS[" ".join(argv)] + ("--format", "--seed", "--out")
+    read = st.sampled_from(reads).flatmap(
+        lambda flag: st.tuples(st.just(flag), st.sampled_from(_ACCEPTED[flag])))
+    for flag, value in draw(st.lists(_weighted((3, read), (1, _ANY_OPTION)),
+                                     max_size=2)):
+        argv += [flag, value]
+    with_input = draw(st.sampled_from((True,) * 9 + (False,)))
+    return argv, with_input != (command == "example")
 
 
 # derandomized, so that a run of the suite is reproducible; widen locally
 # with more examples when changing the parser or the CLI
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
-    command=_COMMANDS,
-    options=_OPTIONS,
-    example=_EXAMPLES,
-    with_input=st.integers(min_value=0, max_value=9).map(lambda k: k > 0),
-    problem=st.one_of(_problems(), _JUNK, st.just("not json {")),
+    invocation=_invocations(),
+    problem=_weighted((6, _problems()), (1, _JUNK), (1, st.just("not json {"))),
 )
-def test_generated_invocations_exit_cleanly(command, options, example, with_input,
-                                            problem):
+def test_generated_invocations_exit_cleanly(invocation, problem):
     """Any command line and problem file ends in a status 0-3, no traceback;
     a report passes when every verdict holds and exits 0 exactly when it
     passes.  The one exception, example ex-3-6, passes when its densities
     verify yet are not equal a.e."""
+    argv, with_input = invocation
     reports = []
     run_command = cli._run_command
 
@@ -797,11 +870,9 @@ def test_generated_invocations_exit_cleanly(command, options, example, with_inpu
         return reports[-1]
 
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_run_command", keep):
-        argv = [command]
-        for flag, value in options:
-            argv += [flag, os.path.join(tmp, value) if flag == "--out" else value]
-        if command == "example":
-            argv.append(example)
+        # an --out file goes into the temporary directory
+        argv = [os.path.join(tmp, arg) if prev == "--out" else arg
+                for prev, arg in zip([None] + argv, argv)]
         if with_input:
             path = os.path.join(tmp, "problem.json")
             with open(path, "w", encoding="utf-8") as handle:
@@ -820,7 +891,7 @@ def test_generated_invocations_exit_cleanly(command, options, example, with_inpu
     if code in (EXIT_PASS, EXIT_FAIL):
         (report,) = reports
         verdicts = report["verdicts"]
-        if command == "example" and example == "ex-3-6":
+        if argv[:2] == ["example", "ex-3-6"]:
             others = {k: v for k, v in verdicts.items() if k != "equal_ae"}
             assert report["pass"] == (all(others.values()) and not verdicts["equal_ae"])
         else:

@@ -1,6 +1,7 @@
 """Threshold families, the two-sided inequality check, derivation,
 dyadic approximants and verification."""
 
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -32,6 +33,7 @@ from choquetrn import (
     verify_rn,
     zero_measure,
 )
+from choquetrn.decomposition import PairRecord
 from support import (
     all_pairs_decomposition,
     coarsened,
@@ -343,6 +345,43 @@ class TestOneEquationPerSet:
                 seen["proper witness set"] += got.witness.sets[0].mask != space.full_mask
         assert min(seen["pass"], seen["fail"]) >= 60, seen
         assert seen["proper witness set"] >= 60, seen
+
+
+class TestDetailRecords:
+    """The detail records, whose values are computed once per cut A & S_p and
+    shared, against the per-set oracle that computes every record afresh."""
+
+    def test_records_match_the_per_set_oracle(self):
+        rng = random.Random(41)
+        seen = Counter()
+        names = [field.name for field in dataclasses.fields(PairRecord)]
+        for trial in range(160):
+            space = random_space(rng, 2, 5)
+            if trial % 2:
+                space = coarsened(space, rng)
+            nu = (null_heavy_measure if trial % 5 == 0 else
+                  random_monotone_measure)(space, rng)
+            f = random_simple_function(space, rng)
+            family = random_family(space, rng) if trial % 3 else \
+                family_from_function(f)
+            mu = (indefinite_integral_measure(derive_function(family), nu)
+                  if trial % 4 < 2 and family.tail_set.is_empty
+                  else random_monotone_measure(space, rng))
+            got = check_decomposition(mu, nu, family, detail=True)
+            want = all_pairs_decomposition(mu, nu, family, detail=True)
+            assert (got.holds, got.witness) == (want.holds, want.witness)
+            assert len(got.records) == got.checked_pairs * space.n_subsets()
+            assert len(got.records) == len(want.records)
+            for g, w in zip(got.records, want.records):
+                for name in names:
+                    x, y = getattr(g, name), getattr(w, name)
+                    assert (x, type(x)) == (y, type(y)), (str(family), name, g, w)
+            bands = family.bands()
+            seen["pass" if got.holds else "fail"] += 1
+            seen["zero_plus != U"] += family.zero_plus != space.full_set
+            seen["equal band sets"] += len({b.set for b in bands}) < len(bands)
+            seen["partitioned"] += not space.is_power_set
+        assert min(seen.values()) >= 30, seen
 
 
 class TestDeriveAndVerify:

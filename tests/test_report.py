@@ -25,6 +25,7 @@ from choquetrn.report import render_json, render_text
 from choquetrn.results import Verdict, Witness
 from choquetrn.sigma_finite import SigmaFiniteRecord
 from choquetrn.solver import ChainRecord
+from choquetrn.spaces import MeasurableSet
 
 from support import json_report_oracle, text_report_oracle
 
@@ -105,6 +106,29 @@ def test_random_trees_render_as_the_oracle(tree):
     assert render_json(tree) == json_report_oracle(tree)
     assert render_text(tree) == text_report_oracle(tree)
     assert sys.get_int_max_str_digits() == limit
+
+
+# Each mask in every space, made twice: equal sets that are distinct objects,
+# and one mask that names different atoms in different spaces.
+_POOL = [MeasurableSet(space, mask) for space in SPACES
+         for mask in (0, 0b101, space.full_mask) for _ in range(2)]
+
+
+@st.composite
+def _shared_trees(draw):
+    """Trees that hold one set object at several places and depths, so at
+    several indentations, next to equal sets that are other objects."""
+    shared = draw(st.sampled_from(_POOL))
+    leaves = st.one_of(st.just(shared), st.sampled_from(_POOL), _extreals)
+    tree = draw(st.recursive(leaves, _containers, max_leaves=15))
+    return {"tree": tree, "shared": shared, "nested": [shared, {"again": (shared,)}]}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(tree=_shared_trees())
+def test_shared_sets_render_as_the_oracle(tree):
+    assert render_json(tree) == json_report_oracle(tree)
+    assert render_text(tree) == text_report_oracle(tree)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
