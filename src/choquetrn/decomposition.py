@@ -205,7 +205,7 @@ def family_from_function(f: SimpleFunction) -> DecompositionFamily:
 
 # -- the inequality check ----------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairRecord:
     """One reduced inequality instance: bands p < q evaluated on a set A."""
 

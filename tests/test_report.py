@@ -117,11 +117,21 @@ _POOL = [MeasurableSet(space, mask) for space in SPACES
 @st.composite
 def _shared_trees(draw):
     """Trees that hold one set object at several places and depths, so at
-    several indentations, next to equal sets that are other objects."""
+    several indentations, next to equal sets that are other objects; and
+    detail records, also at several depths, whose fields share that set, one
+    Fraction object, one list object and infinity."""
     shared = draw(st.sampled_from(_POOL))
-    leaves = st.one_of(st.just(shared), st.sampled_from(_POOL), _extreals)
+    fraction = draw(st.fractions(max_denominator=50))
+    fields = st.sampled_from(
+        [shared, fraction, [shared, fraction], INF, _POOL[0], 0, 3, True])
+    records = st.builds(PairRecord, **{
+        f.name: fields for f in dataclasses.fields(PairRecord)})
+    leaves = st.one_of(st.just(shared), st.sampled_from(_POOL), _extreals,
+                       records)
     tree = draw(st.recursive(leaves, _containers, max_leaves=15))
-    return {"tree": tree, "shared": shared, "nested": [shared, {"again": (shared,)}]}
+    record = draw(records)
+    return {"tree": tree, "shared": shared, "nested": [shared, {"again": (shared,)}],
+            "records": [record, [record, {"again": record}]]}
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
