@@ -26,18 +26,17 @@ indentation level.  A report can hold one ``MeasurableSet`` object in many
 places (a detail record per set and band pair), so ``render_json`` converts
 each set object once per indentation and reuses the text.
 
-That report's detail records, ``PairRecord``s by the thousand, take one flat
-rule in ``render_json``: one ``%`` template per indentation, its nine keys
-written out in sorted order, filled with the record's fields read by name.
-Each field goes through the leaf encoders or, when it is a container,
-through the walk (a set through the memo above), so a record renders as the
-generic dataclass rule would render it.  No leaf's text is memoised: a memo
-of every leaf field's text by id raised the ``certify`` benchmark's peak RSS
-from 35.0 to 38.6 MB (+10%, past its 5% bound) to save a tenth of the render.
+A dataclass renders through one ``%`` template per class and indentation,
+its keys written out in sorted order, filled with its fields read by one
+``attrgetter``; each field goes through the leaf encoders or the walk (a set
+through the memo above).  ``check-decomposition`` writes thousands of
+``PairRecord``s, so this is most of its render.  No leaf's text is memoised:
+a memo of every leaf field's text by id raised the ``certify`` benchmark's
+peak RSS from 35.0 to 38.6 MB (+10%, past its 5% bound) to save a tenth of
+the render.
 
 ``render_text`` prints one ``path: value`` line per leaf and one
-``path: [a, b]`` line per list of leaves, in sorted key order; it keeps the
-generic rule for records.
+``path: [a, b]`` line per list of leaves, in sorted key order.
 Exact values can exceed Python's int/str conversion limit, so both lift it
 for the whole walk.
 """
@@ -48,15 +47,16 @@ import dataclasses
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
-from .decomposition import PairRecord
 from .extreal import ExtReal
 from .functions import SimpleFunction
 from .spaces import MeasurableSet, MeasurableSpace
 
-# shapes of converted values; LIST and DICT hold unconverted children
-NULL, BOOL, INT, STR, LIST, DICT = range(6)
+# shapes of converted values; LIST, DICT and FIELDS hold unconverted children
+NULL, BOOL, INT, STR, LIST, DICT, FIELDS = range(7)
 
 
 def _no_floats(value):
@@ -79,13 +79,22 @@ def _items(d: dict) -> list:
     return sorted({str(k): v for k, v in d.items()}.items())
 
 
+@cache
+def _field_names(cls) -> tuple:
+    return tuple(sorted(f.name for f in dataclasses.fields(cls)))
+
+
 def _fields(cls):
-    names = sorted(f.name for f in dataclasses.fields(cls))
-    return lambda obj: [(name, getattr(obj, name)) for name in names]
+    """The tuple of a dataclass's field values, in ``_field_names`` order."""
+    names = _field_names(cls)
+    if len(names) > 1:
+        return attrgetter(*names)
+    return lambda obj: tuple(getattr(obj, name) for name in names)
 
 
 # type -> (shape, conversion or None for "as it is"), in precedence order; a
-# DICT conversion gives the (key, child) pairs in sorted key order
+# DICT conversion gives the (key, child) pairs in sorted key order, a
+# dataclass (FIELDS) its field values by _fields
 _RULES = {
     type(None): (NULL, None),
     bool: (BOOL, None),
@@ -111,15 +120,15 @@ def _rule(cls):
         return rule
     for base, rule in _RULES.items():
         if base is dict and dataclasses.is_dataclass(cls):
-            return DICT, _fields(cls)
+            return FIELDS, _fields(cls)
         if issubclass(cls, base):
             return rule
     return STR, str
 
 
 class _Lookup(dict):
-    """key -> ``make(key)``, made once per key (a type or an indentation);
-    one per render."""
+    """key -> ``make(key)``, made once per key (a type, or a class and an
+    indentation); one per render."""
 
     def __init__(self, make):
         super().__init__()
@@ -162,22 +171,20 @@ def _json_leaf(rule):
     return encode if convert is None else lambda obj: encode(convert(obj))
 
 
-_RECORD_FIELDS = sorted(f.name for f in dataclasses.fields(PairRecord))
-
-
-def _record_template(indent):
-    """The JSON text of a ``PairRecord`` at an indentation, one ``%s`` per
-    field's text, in sorted key order."""
+def _template(key):
+    """The JSON text of a dataclass with fields at an indentation, one ``%s``
+    per field in ``_field_names`` order; key is (class, indentation)."""
+    cls, indent = key
     inner = indent + "  "
     return "{" + inner + ("," + inner).join(
-        encode_basestring_ascii(name) + ": %s" for name in _RECORD_FIELDS
+        encode_basestring_ascii(name) + ": %s" for name in _field_names(cls)
     ) + indent + "}"
 
 
 def render_json(report: dict) -> str:
     rules = _Lookup(_rule)
     leaves = _Lookup(lambda cls: _json_leaf(rules[cls]))
-    templates = _Lookup(_record_template)
+    templates = _Lookup(_template)
     # (id, indentation) -> (set, text); the entry holds the set, so its id
     # cannot pass to another object while the walk runs
     sets: dict = {}
@@ -186,8 +193,6 @@ def render_json(report: dict) -> str:
         encode = leaves[type(obj)]
         if encode is not None:
             return encode(obj)
-        if type(obj) is PairRecord:
-            return record(obj, indent)
         if type(obj) is not MeasurableSet:
             return container(obj, indent)
         entry = sets.get((id(obj), indent))
@@ -195,30 +200,22 @@ def render_json(report: dict) -> str:
             entry = sets[id(obj), indent] = obj, container(obj, indent)
         return entry[1]
 
-    def record(obj, indent):
-        # the fields in _RECORD_FIELDS order, as the template has them
-        inner = indent + "  "
-        return templates[indent] % (
-            walk(obj.left, inner), walk(obj.left_coefficient, inner),
-            walk(obj.lower_band, inner), walk(obj.middle, inner),
-            walk(obj.ok, inner), walk(obj.right, inner),
-            walk(obj.right_coefficient, inner), walk(obj.set, inner),
-            walk(obj.upper_band, inner))
-
     def container(obj, indent):
         shape, convert = rules[type(obj)]
         value = obj if convert is None else convert(obj)
         if not value:
             return "[]" if shape == LIST else "{}"
         inner = indent + "  "
-        if shape == LIST:
-            parts = [walk(v, inner) if (encode := leaves[type(v)]) is None
-                     else encode(v) for v in value]
-            return "[" + inner + ("," + inner).join(parts) + indent + "]"
-        parts = [encode_basestring_ascii(k) + ": " + (
-                     walk(v, inner) if (encode := leaves[type(v)]) is None
-                     else encode(v)) for k, v in value]
-        return "{" + inner + ("," + inner).join(parts) + indent + "}"
+        if shape == DICT:
+            parts = [encode_basestring_ascii(k) + ": " + (
+                         walk(v, inner) if (encode := leaves[type(v)]) is None
+                         else encode(v)) for k, v in value]
+            return "{" + inner + ("," + inner).join(parts) + indent + "}"
+        parts = [walk(v, inner) if (encode := leaves[type(v)]) is None
+                 else encode(v) for v in value]
+        if shape == FIELDS:
+            return templates[type(obj), indent] % tuple(parts)
+        return "[" + inner + ("," + inner).join(parts) + indent + "]"
 
     with _all_digits():
         return walk(report, "\n") + "\n"
@@ -232,6 +229,8 @@ def render_text(report: dict) -> str:
     def walk(obj, prefix):
         shape, convert = rules[type(obj)]
         value = obj if convert is None else convert(obj)
+        if shape == FIELDS:
+            shape, value = DICT, zip(_field_names(type(obj)), value)
         if shape == DICT:
             for key, v in value:
                 walk(v, f"{prefix}{key}.")

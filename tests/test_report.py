@@ -41,6 +41,17 @@ DATACLASSES = [Witness, Verdict, PairRecord, IntegralBreakdown,
                DecompositionReport, RnReport, SigmaFiniteRecord, ChainRecord]
 
 
+@dataclasses.dataclass
+class NoFields:
+    """A dataclass with no field; with ``OneField``, the cases whose field
+    getter is not an ``attrgetter`` of several names."""
+
+
+@dataclasses.dataclass
+class OneField:
+    only: object
+
+
 class Opaque:
     """A type the renderers know nothing of: printed as ``str(obj)``."""
 
@@ -165,6 +176,7 @@ def test_edge_cases():
         "space": SPACES[1],
         "verdict": Verdict(holds=False, witness=Witness("kind")),
         "class": Witness,
+        "fields": [NoFields(), OneField(NoFields()), OneField([OneField(1)])],
     }
     for render, oracle in ((render_json, json_report_oracle),
                            (render_text, text_report_oracle)):
