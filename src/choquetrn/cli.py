@@ -210,11 +210,7 @@ def _sigma_finite(report: dict, model):
     v["finite_ae"] = glue.finite_ae
     if glue.function is not None:
         t["function"] = glue.function
-        result = verify_sigma_finite(model, glue.function)
-        v["verify"] = result.holds
-        # an exhaustive check's note restates its verdict, so it stays out
-        if result.sampled:
-            t.setdefault("notes", {})["verify"] = result.note
+        v["verify"] = verify_sigma_finite(model, glue.function).holds
     return glue.function
 
 

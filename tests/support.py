@@ -8,11 +8,12 @@ scan per threshold), so it checks the one-sort running-union layers field by
 field.  The per-set integral oracles call the library's ``choquet_value``
 once per set, the loop that the one-pass integral table (one lemma step per
 set) replaces in ``indefinite_integral_measure`` and ``verify_rn``.  The
-per-level sigma-finite oracle recomputes every (test set, level) integral,
-so it checks that reusing one integral per distinct truncated set changes
-no record.  The per-level glue oracle is the library's former gluing, one
-decomposition check per truncation level, so it checks that the deepest
-level's check decides every level.  The solver oracle tries every maximal chain without
+per-level sigma-finite oracle recomputes every (test set, level) integral
+on that level alone, so it checks that one ``verify_rn`` on the deepest
+level decides every level and that exactly the failing sets get a record.
+The per-level glue oracle is the library's former gluing, one decomposition
+check per truncation level, so it checks that the deepest level's check
+decides every level.  The solver oracle tries every maximal chain without
 pruning and solves each chain's system afresh by the library's former
 one-shot Gaussian elimination over Fractions (``_solve_chain_system``) and
 Fourier-Motzkin elimination (``_feasible_point``), so it checks that the
@@ -76,11 +77,9 @@ from choquetrn.decomposition import DecompositionReport, PairRecord, RnReport
 from choquetrn.errors import PreconditionError, SpaceMismatchError
 from choquetrn.report import _all_digits
 from choquetrn.sigma_finite import (
-    _EXHAUSTIVE_LIMIT,
     SigmaFiniteRecord,
     SigmaFiniteReport,
     _listed,
-    _polynomial_test_sets,
     threshold_tail_family,
 )
 
@@ -337,14 +336,6 @@ def per_set_verify_rn(mu, nu, f):
                     checked=mu.space.n_subsets())
 
 
-def default_sigma_test_sets(model):
-    """The test sets verify_sigma_finite uses when none are given."""
-    deepest = model.deepest
-    if deepest.n_blocks <= _EXHAUSTIVE_LIMIT:
-        return list(deepest.subsets())
-    return _polynomial_test_sets(deepest)
-
-
 @dataclasses.dataclass(frozen=True)
 class PerLevelModel:
     """A truncation model as its levels, each with its own space and tables."""
@@ -386,12 +377,17 @@ def per_level_model(atoms, mu_rule, nu_rule, depths=None):
     names = build_space(atoms).atoms
     if depths is None:
         depths = list(range(1, len(names) + 1))
-    depths = tuple(depths)
-    if (not depths or list(depths) != sorted(set(depths))
-            or depths[-1] > len(names) or depths[0] < 1):
+    # a file's depths may be any JSON value: only a list of integers is
+    # sorted and compared with the atom count
+    if not (isinstance(depths, (list, tuple)) and depths
+            and all(type(depth) is int for depth in depths)
+            and list(depths) == sorted(set(depths))
+            and 1 <= depths[0] and depths[-1] <= len(names)):
         raise PreconditionError(
-            "depths must be a nonempty, strictly increasing list of prefix lengths"
+            "depths must be a nonempty, strictly increasing list of prefix "
+            f"lengths; got {depths!r}"
         )
+    depths = tuple(depths)
 
     spaces = tuple(build_space(names[:d]) for d in depths)
     mus = tuple(_level_measure(spaces, mu_rule, i) for i in range(len(spaces)))
@@ -430,16 +426,15 @@ def restrict_function(levels, f, level):
 def per_level_sigma_finite(levels, f, test_sets=None):
     """The sigma-finite verification on a ``per_level_model``, with f
     restricted, and the integral evaluated by the level-set oracle, afresh
-    for every (test set, level)."""
+    for every (test set, level); by default every subset of the deepest
+    level.  Every set is compared; only the failing ones keep a record."""
     deepest = levels.deepest
     if f.space != deepest:
         raise PreconditionError("f must live on the deepest truncation")
-    sampled = test_sets is None and deepest.n_blocks > _EXHAUSTIVE_LIMIT
     if test_sets is None:
-        test_sets = default_sigma_test_sets(levels)
+        test_sets = list(deepest.subsets())
 
     records = []
-    holds = True
     for A in test_sets:
         mu_vals = []
         int_vals = []
@@ -452,24 +447,18 @@ def per_level_sigma_finite(levels, f, test_sets=None):
         nondecreasing = all(
             x <= y for x, y in zip(mu_vals, mu_vals[1:])
         ) and all(x <= y for x, y in zip(int_vals, int_vals[1:]))
-        records.append(
-            SigmaFiniteRecord(
-                set=A,
-                mu_values=tuple(mu_vals),
-                integral_values=tuple(int_vals),
-                equal=equal,
-                nondecreasing=nondecreasing,
+        if not (equal and nondecreasing):
+            records.append(
+                SigmaFiniteRecord(
+                    set=A,
+                    mu_values=tuple(mu_vals),
+                    integral_values=tuple(int_vals),
+                    equal=equal,
+                    nondecreasing=nondecreasing,
+                )
             )
-        )
-        holds = holds and equal and nondecreasing
-    if sampled:
-        note = (f"truncated limit evidence; equality checked on {len(records)} "
-                "sampled sets at every finite level, which is evidence, not a "
-                "certificate")
-    else:
-        note = "truncated limit evidence; equality certified at every finite level"
     return SigmaFiniteReport(
-        holds=holds, records=tuple(records), note=note, sampled=sampled
+        holds=not records, records=tuple(records), checked=len(test_sets)
     )
 
 

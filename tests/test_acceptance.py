@@ -105,8 +105,8 @@ def test_criterion_02_sigma_finite_truncation_model(capsys):
         identity
         and every_depth
         and check is not None and check.holds
-        and len(check.records) == 512  # full power set of the 9-atom top level
-        and all(r.equal for r in check.records)
+        # every set of the 9-atom top level, none failing
+        and check.checked == 512 and check.records == ()
         and elapsed < 5.0
     )
     report(capsys, 2, ok, f"{elapsed:.3f}s")

@@ -371,15 +371,14 @@ class TestCommands:
             assert code == EXIT_PASS, name
             assert json.loads(out)["pass"] is True
 
-    def test_ex_4_4_notes_a_sampled_verification(self, capsys):
-        # 14 points are past the exhaustive limit: the test sets are a sample
-        code, out, _ = run(capsys, "example", "ex-4-4", "--n", "13")
-        assert code == EXIT_PASS
-        note = json.loads(out)["tables"]["notes"]["verify"]
-        assert "sampled sets" in note and "evidence, not a certificate" in note
-        code, out, _ = run(capsys, "example", "ex-4-4", "--n", "4")
-        assert code == EXIT_PASS
-        assert "notes" not in json.loads(out)["tables"]
+    def test_ex_4_4_certifies_every_set_at_n_13(self, capsys):
+        # 14 points: verify is checked on all 2^14 sets, a certificate
+        for n in ("13", "4"):
+            code, out, _ = run(capsys, "example", "ex-4-4", "--n", n)
+            assert code == EXIT_PASS
+            report = json.loads(out)
+            assert report["verdicts"]["verify"] is True
+            assert "notes" not in report["tables"]
 
     def test_example_classical_solves_once(self, capsys, monkeypatch):
         from choquetrn import cli, solver
@@ -634,6 +633,21 @@ class TestArgumentErrors:
         assert (code, out) == (EXIT_INPUT, "")
         assert err == ("input error: truncations: inconsistent generators: "
                        "mu({0}) differs between levels 0 and 1\n")
+
+    @pytest.mark.parametrize("depths", ["12", [[1], 3]], ids=repr)
+    def test_depths_that_are_no_list_of_integers_are_input_error(
+            self, capsys, tmp_path, depths):
+        path = tmp_path / "depths.json"
+        path.write_text(json.dumps({"truncations": {
+            "N_max": 3, "depths": depths,
+            "measures": {"mu": {"rule": "max_element"},
+                         "nu": {"rule": "indicator_nonempty"}},
+        }}))
+        code, out, err = run(capsys, "sigma-finite", "--input", str(path))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == ("input error: truncations: depths must be a nonempty, "
+                       "strictly increasing list of prefix lengths; "
+                       f"got {depths!r}\n")
 
     def test_depths_next_to_n_max_are_kept(self, capsys, tmp_path):
         path = tmp_path / "depths.json"

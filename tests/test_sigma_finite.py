@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from choquetrn import (
+    MeasurableSet,
     PreconditionError,
     SpaceMismatchError,
     ZERO,
@@ -19,12 +20,11 @@ from choquetrn import (
     indefinite_integral_measure,
     make_truncation_model,
     threshold_tail_family,
+    verify_rn,
     verify_sigma_finite,
 )
 from choquetrn import sigma_finite
-from choquetrn.sigma_finite import _EXHAUSTIVE_LIMIT, _polynomial_test_sets
 from support import (
-    default_sigma_test_sets,
     per_level_glue,
     per_level_model,
     per_level_sigma_finite,
@@ -110,8 +110,8 @@ class TestModelConstruction:
         assert "inconsistent" in str(err.value)
 
     def test_levels_are_compared_on_every_set(self):
-        # past 12 blocks too: mu = |A| except mu({0,2,5}) = 7/2 at depth 13,
-        # a set that no singleton, prefix or parity class reaches
+        # at 13 and 14 blocks: mu = |A| except mu({0,2,5}) = 7/2 at depth 13,
+        # a set that is no singleton, prefix or parity class
         atoms = [str(k) for k in range(14)]
         odd = {0b100101}
 
@@ -481,10 +481,8 @@ class TestVerify:
         result = glue_derivative(model)
         report = verify_sigma_finite(model, result.function)
         assert report.holds
-        assert len(report.records) == model.deepest.n_subsets()
-        for record in report.records:
-            assert record.equal and record.nondecreasing
-            assert record.mu_values == record.integral_values
+        assert report.checked == model.deepest.n_subsets()
+        assert report.records == ()
 
     def test_wrong_function_fails(self):
         model = fixture_f4(3)
@@ -493,6 +491,7 @@ class TestVerify:
         )
         report = verify_sigma_finite(model, f)
         assert not report.holds
+        assert report.records and not any(r.equal for r in report.records)
 
     def test_function_must_live_on_deepest_truncation(self):
         model = fixture_f4(3)
@@ -501,14 +500,31 @@ class TestVerify:
         with pytest.raises(PreconditionError):
             verify_sigma_finite(model, f)
 
-    def test_polynomial_test_sets_are_measurable_and_varied(self):
-        space = build_space([str(i) for i in range(15)])
-        sets = _polynomial_test_sets(space)
-        masks = {A.mask for A in sets}
-        assert 0 in masks and space.full_mask in masks
-        assert len(masks) > 2 * len(space.atoms)
-        for A in sets:
-            assert A.mask & ~space.full_mask == 0
+    def test_matches_the_per_level_oracle(self):
+        # rule-built and explicit models, with the threshold-tail density
+        # and with a density wrong on one atom, which fails only the levels
+        # that hold it
+        rng = random.Random(24)
+        outcomes = Counter()
+        for label, args in _glue_models(random.Random(23), 25):
+            model, levels = _both(*args)
+            names = model.deepest.atoms
+            wrong = dict(zip(names, (Fraction(a) for a in names)))
+            wrong[rng.choice(names)] += rng.choice((1, Fraction(1, 2)))
+            for f in (_identity(model), function_from_values(model.deepest, wrong)):
+                report = verify_sigma_finite(model, f)
+                expected = per_level_sigma_finite(levels, f)
+                assert report == expected, label
+                assert report.holds == verify_rn(model.mu, model.nu, f).holds, label
+                assert all(r.nondecreasing for r in expected.records), label
+                if report.holds:
+                    outcomes["pass"] += 1
+                elif all(r.mu_values[0] == r.integral_values[0] for r in report.records):
+                    outcomes["deeper levels only"] += 1
+                else:
+                    outcomes["first level"] += 1
+        assert min(outcomes[k] for k in ("pass", "deeper levels only",
+                                         "first level")) >= 10, outcomes
 
 
 def _additive_args(n_atoms, depths, weights):
@@ -541,11 +557,12 @@ def _identity(model):
 
 
 def _sigma_cases():
-    """(label, model, per-level oracle, f): passing and failing verifications
-    of every kind."""
+    """(label, model, per-level oracle, f, test sets): passing and failing
+    verifications of every kind, on every set but for the 14-atom model,
+    whose oracle checks a seeded sample."""
     for n in range(4, 9):
         model, levels = _both(*_f4_args(n))
-        yield f"f4-{n}", model, levels, glue_derivative(model).function
+        yield f"f4-{n}", model, levels, glue_derivative(model).function, None
     rng = random.Random(31)
     for n_atoms in (4, 6, 7):
         weights = [Fraction(rng.randrange(0, 4), rng.choice((1, 2, 3)))
@@ -553,11 +570,11 @@ def _sigma_cases():
         model, levels = _both(*_additive_args(n_atoms, list(range(1, n_atoms + 1)), weights))
         glue = glue_derivative(model)
         assert glue.holds == all(glue.per_truncation)
-        yield f"additive-{n_atoms}", model, levels, _identity(model)
+        yield f"additive-{n_atoms}", model, levels, _identity(model), None
         wrong = function_from_values(
             model.deepest, {a: Fraction(a) + 1 for a in model.deepest.atoms}
         )
-        yield f"additive-{n_atoms}-wrong", model, levels, wrong
+        yield f"additive-{n_atoms}-wrong", model, levels, wrong, None
     for n_max, (mu_scale, nu_scale) in ((5, ("5/2", "4/3")), (6, ("4/3", "5/2"))):
         model, levels = _both(
             [str(k) for k in range(n_max + 1)],
@@ -567,20 +584,21 @@ def _sigma_cases():
         )
         glue = glue_derivative(model)
         assert not glue.holds and not any(glue.per_truncation[1:])
-        yield f"cardinality-{n_max}", model, levels, _identity(model)
+        yield f"cardinality-{n_max}", model, levels, _identity(model), None
     model, levels = _both(*_explicit_args())
     assert not glue_derivative(model).holds
-    yield "explicit", model, levels, _identity(model)
+    yield "explicit", model, levels, _identity(model), None
     deep, levels = _both(*_additive_args(14, [3, 8, 14],
                                          [Fraction(1 + i % 3, 2) for i in range(14)]))
-    assert deep.deepest.n_blocks > _EXHAUSTIVE_LIMIT
-    yield "deep", deep, levels, glue_derivative(deep).function
+    sample = [MeasurableSet(deep.deepest, mask)
+              for mask in random.Random(14).sample(range(deep.deepest.n_subsets()), 300)]
+    yield "deep", deep, levels, glue_derivative(deep).function, sample
 
 
 class TestDistinctTruncatedSets:
-    """One integral per distinct A & U_level against the per-level loop."""
+    """One verify_rn on the deepest level against the per-level loop."""
 
-    def test_matches_per_level_oracle_and_counts_distinct_sets(self, monkeypatch):
+    def test_matches_oracle_and_counts_failing_records(self, monkeypatch):
         calls = []
 
         def counted(f, nu, A=None):
@@ -589,29 +607,42 @@ class TestDistinctTruncatedSets:
 
         monkeypatch.setattr(sigma_finite, "choquet_value", counted)
         outcomes = Counter()
-        for label, model, levels, f in _sigma_cases():
+        for label, model, levels, f, sets in _sigma_cases():
             calls.clear()
-            report = verify_sigma_finite(model, f)
-            assert report == per_level_sigma_finite(levels, f), label
-            # one integral per distinct truncated mask, on the deepest level
-            distinct = {
-                (model.deepest, A.mask & ((1 << depth) - 1))
-                for A in default_sigma_test_sets(model)
-                for depth in model.depths
-            }
-            assert len(calls) == len(distinct), label
-            assert set(calls) == distinct, label
+            report = verify_sigma_finite(model, f, sets)
+            assert report == per_level_sigma_finite(levels, f, sets), label
+            # one integral per level of each failing record, none if it holds
+            assert len(calls) == len(report.records) * len(model.depths), label
+            assert set(calls) == {
+                (model.deepest, r.set.mask & ((1 << depth) - 1))
+                for r in report.records for depth in model.depths
+            }, label
             outcomes[report.holds] += 1
         assert outcomes[True] >= 6 and outcomes[False] >= 4, outcomes
+
+    def test_deep_model_is_certified_on_every_set(self):
+        deep = make_truncation_model(*_additive_args(
+            14, [3, 8, 14], [Fraction(1 + i % 3, 2) for i in range(14)]))
+        report = verify_sigma_finite(deep, glue_derivative(deep).function)
+        assert report.holds and report.records == ()
+        assert report.checked == 1 << 14
 
     def test_given_test_sets_match_the_oracle(self):
         model, levels = _both(*_f4_args(5))
         f = glue_derivative(model).function
+        wrong = function_from_values(
+            model.deepest, {a: Fraction(a) + (1 if a == "3" else 0) for a in model.deepest.atoms})
         sets = [model.deepest.make_set(["1", "4"]), model.deepest.empty_set,
-                model.deepest.make_set(["1", "4"]), model.deepest.full_set]
+                model.deepest.make_set(["1", "4"]), model.deepest.full_set,
+                model.deepest.make_set(["3"])]
         report = verify_sigma_finite(model, f, sets)
         assert report == per_level_sigma_finite(levels, f, sets)
-        assert [r.set for r in report.records] == sets
+        assert (report.holds, report.records, report.checked) == (True, (), 5)
+        report = verify_sigma_finite(model, wrong, sets)
+        assert report == per_level_sigma_finite(levels, wrong, sets)
+        # in test-set order; {1, 4} and the empty set miss atom 3
+        assert [r.set for r in report.records] == sets[3:]
+        assert report.checked == 5
 
     def test_test_sets_must_live_on_the_deepest_truncation(self):
         model = fixture_f4(4)
