@@ -63,7 +63,7 @@ class ExtReal:
                 raise ValueError(f"{value!r}: a denominator may not be 0") from None
         else:
             frac = Fraction(value)
-        if frac is not None and frac < 0:
+        if frac is not None and frac.numerator < 0:
             raise ValueError(f"negative values are not representable: {value!r}")
         self._frac = frac
 

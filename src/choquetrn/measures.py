@@ -8,18 +8,32 @@ construction and skip the scan.  Every rule table, and the one ``is_additive``
 compares with, is a lowest-bit fill of block weights: a set's value is the
 value without its lowest block plus (additive, cardinality, zero) or max
 (max-weight) that block's weight.
+
+Tables are built over masks and integers; ``ExtReal`` reads each value once
+and is what every accessor returns.
+- An explicit table's sets are read by ``space.mask_of``: one name -> bit
+  dict per space, the split-block check only on a partition algebra, no set
+  object per entry.  Each distinct value text of a table is read once.
+- The cover check compares (numerator, denominator) pairs by integer
+  cross-products, with (1, 0) for infinity, and builds set objects only for
+  the witness.
+- ``fractions()``, the table as Fractions with None for infinity, is built
+  once per measure and shared by every caller, which must not change it.
+- Rule fills run in integers over the common denominator of the (at most
+  ``specio.MAX_ATOMS``) block weights, with a mask of the blocks whose
+  weight is infinite, and read each distinct sum once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import groupby
+from math import lcm
 from operator import add
 from typing import Dict, Mapping, Optional
 
 from .errors import InvalidMeasureError, SpaceMismatchError
-from .extreal import ExtReal, INF, ZERO, ext_min
+from .extreal import ExtReal, INF, ZERO
 from .results import Verdict, Witness
 from .spaces import MeasurableSet, MeasurableSpace, lowest_bit_fill, selector_masks
 
@@ -28,15 +42,17 @@ class MonotoneMeasure:
     """A validated monotone measure, materialized as a full table.
 
     The table is never changed after construction, so what is derived from
-    it alone (the running null union of the classifiers) is kept here.
+    it alone (its Fraction view, the running null union of the classifiers)
+    is computed once and kept here.
     """
 
-    __slots__ = ("space", "_table", "_null_scan")
+    __slots__ = ("space", "_table", "_fractions", "_null_scan")
 
     def __init__(self, space: MeasurableSpace, table: Dict[int, ExtReal],
                  validate: bool = True):
         self.space = space
         self._table = table
+        self._fractions = None
         self._null_scan = None
         missing = space.n_subsets() - len(table)
         if missing:
@@ -56,16 +72,21 @@ class MonotoneMeasure:
                 ),
             )
         # Checking each set against its covers (add one block) implies full
-        # monotonicity, since every inclusion factors through covers.
-        values = self.fractions()
+        # monotonicity, since every inclusion factors through covers.  Values
+        # are (numerator, denominator) pairs, (1, 0) for infinity, so a > b
+        # is one integer cross-product comparison, for infinite ones too.
+        pairs = {
+            A: (1, 0) if q is None else (q.numerator, q.denominator)
+            for A, q in self.fractions().items()
+        }
         blocks = self.space.blocks
         for A in selector_masks(blocks):
-            a = values[A]
+            a_num, a_den = pairs[A]
             for block in blocks:
                 if A & block:
                     continue
-                b = values[A | block]
-                if b is not None and (a is None or a > b):
+                b_num, b_den = pairs[A | block]
+                if a_num * b_den > b_num * a_den:
                     small = MeasurableSet(self.space, A)
                     large = MeasurableSet(self.space, A | block)
                     vA, vB = self._table[A], self._table[A | block]
@@ -85,8 +106,12 @@ class MonotoneMeasure:
         return self._table[mask]
 
     def fractions(self) -> Dict[int, Optional[Fraction]]:
-        """The table as mask -> Fraction, None standing for infinity."""
-        return {mask: v._frac for mask, v in self._table.items()}
+        """The table as mask -> Fraction, None standing for infinity.
+
+        Built once and shared by every caller, which must not change it."""
+        if self._fractions is None:
+            self._fractions = {mask: v._frac for mask, v in self._table.items()}
+        return self._fractions
 
     @property
     def is_finite(self) -> bool:
@@ -97,9 +122,15 @@ class MonotoneMeasure:
 
     def is_additive(self) -> bool:
         """True iff the measure equals the sum of its block values on every set."""
+        if not self.is_finite:
+            return False
+        values = self.fractions()
         blocks = self.space.blocks
-        sums = lowest_bit_fill([self._table[b] for b in blocks], add, ZERO)
-        return self.is_finite and self._table == dict(zip(selector_masks(blocks), sums))
+        den, sums, _ = _integer_fill([values[b] for b in blocks], add)
+        return all(
+            q.numerator * den == v * q.denominator
+            for q, v in zip(map(values.__getitem__, selector_masks(blocks)), sums)
+        )
 
     def null_sets(self):
         for A in self.space.subsets():
@@ -122,26 +153,46 @@ class MonotoneMeasure:
 def measure_from_table(space: MeasurableSpace, table) -> MonotoneMeasure:
     """Build a measure from {set: value} or (set, value) pairs, each set a
     MeasurableSet or atom names; a set given twice is an error."""
+    read: Dict[str, ExtReal] = {}  # a table repeats its values: each text is read once
     full: Dict[int, ExtReal] = {}
     for key, value in table.items() if isinstance(table, Mapping) else table:
-        A = key if isinstance(key, MeasurableSet) else space.make_set(key)
-        if A.mask in full:
-            raise InvalidMeasureError(f"set {A} is listed twice")
-        full[A.mask] = ExtReal(value)
+        mask = key.mask if isinstance(key, MeasurableSet) else space.mask_of(key)
+        if mask in full:
+            raise InvalidMeasureError(f"set {MeasurableSet(space, mask)} is listed twice")
+        if type(value) is not str:
+            full[mask] = ExtReal(value)
+        elif value in read:
+            full[mask] = read[value]
+        else:
+            full[mask] = read[value] = ExtReal(value)
     return MonotoneMeasure(space, full)
 
 
+def _integer_fill(weights, combine):
+    """``lowest_bit_fill(weights, combine, 0)`` for ``combine`` add or max
+    and Fraction weights, None for infinity, in integers: (den, table, inf)
+    with entry s over the common denominator ``den``, infinite iff s & inf."""
+    den = lcm(*(w.denominator for w in weights if w is not None))
+    ints = [0 if w is None else w.numerator * (den // w.denominator) for w in weights]
+    inf = sum(1 << i for i, w in enumerate(weights) if w is None)
+    return den, lowest_bit_fill(ints, combine, 0), inf
+
+
 def _weight_fill(space: MeasurableSpace, weights: Mapping, combine) -> Dict[int, ExtReal]:
-    """mask -> the set's atom weights (missing ones 0) combined by ``combine``."""
+    """mask -> the set's atom weights (missing ones 0) combined by ``combine``,
+    add or max."""
     w = [ZERO] * len(space.atoms)
     for name, value in weights.items():
         w[space.index_of(name)] = ExtReal(value)
     blocks = space.blocks
     block_weights = [
-        reduce(combine, (v for i, v in enumerate(w) if block >> i & 1), ZERO)
+        reduce(combine, (v for i, v in enumerate(w) if block >> i & 1), ZERO)._frac
         for block in blocks
     ]
-    return dict(zip(selector_masks(blocks), lowest_bit_fill(block_weights, combine, ZERO)))
+    den, table, inf = _integer_fill(block_weights, combine)
+    value = {v: ExtReal(Fraction(v, den)) for v in set(table)}
+    return dict(zip(selector_masks(blocks),
+                    [INF if s & inf else value[v] for s, v in enumerate(table)]))
 
 
 def additive_measure(space: MeasurableSpace, weights: Mapping) -> MonotoneMeasure:
@@ -286,25 +337,42 @@ def strongly_abs_continuous(mu: MonotoneMeasure, nu: MonotoneMeasure) -> Verdict
 
     For each distinct positive value eps of mu, delta(eps) is the smallest
     nu-value among sets with mu >= eps; the property holds iff every delta is
-    positive.  One sort of the sets by mu, descending, gives every delta as
-    a running minimum of nu.  delta grows with eps, so the property fails iff
-    delta is 0 at the smallest eps, where {mu >= eps} = {mu > 0}: iff some
-    set with mu > 0 is nu-null.  The witness is the last such set in
-    canonical order.  None of this needs mu finite: an infinite eps is one
-    more row, sorted last.
+    positive.  Grouping the sets by their mu value gives the least nu per
+    value, and a running minimum of those, from the largest value down,
+    gives every delta; only the distinct values are sorted.  delta grows
+    with eps, so the property fails iff delta is 0 at the smallest eps,
+    where {mu >= eps} = {mu > 0}: iff some set with mu > 0 is nu-null.  The
+    witness is the last such set in canonical order.  None of this needs mu
+    finite: an infinite eps is one more row, the last.
     """
     if mu.space != nu.space:
         raise SpaceMismatchError("measures live on different spaces")
-    rows = [(mu(A), nu(A), A) for A in mu.space.subsets() if mu(A) != ZERO]
-    by_eps = sorted(rows, key=lambda row: row[0], reverse=True)
+    mu_t, nu_t = mu.fractions(), nu.fractions()
+    least = {}  # mu value -> least nu value over its sets; None is infinity
+    null = None
+    for A in selector_masks(mu.space.blocks):
+        eps = mu_t[A]
+        if eps == 0:
+            continue
+        v = nu_t[A]
+        if v == 0:
+            null = A
+        if eps not in least or _below(v, least[eps]):
+            least[eps] = v
     table = []
-    delta = INF
-    for eps, group in groupby(by_eps, key=lambda row: row[0]):
-        delta = ext_min(delta, *(v for _, v, _ in group))
-        table.append((eps, delta))
+    delta = None
+    for eps in sorted(map(ExtReal, least), reverse=True):
+        if _below(least[eps._frac], delta):
+            delta = least[eps._frac]
+        table.append((eps, ExtReal(delta)))
     table.reverse()
-    null = [A for _, v, A in rows if v == ZERO]
-    if not null:
+    if null is None:
         return Verdict(holds=True, table=tuple(table))
-    witness = Witness("strong-absolute-continuity", (null[-1],), (table[0][0], ZERO))
+    witness = Witness("strong-absolute-continuity",
+                      (MeasurableSet(mu.space, null),), (table[0][0], ZERO))
     return Verdict(holds=False, witness=witness, table=tuple(table))
+
+
+def _below(a: Optional[Fraction], b: Optional[Fraction]) -> bool:
+    """a < b for Fractions with None for infinity."""
+    return a is not None and (b is None or a < b)

@@ -272,7 +272,8 @@ def verify_sigma_finite(
 
     Only failing test sets get a record.  Its per-level integrals are the
     definitional layer cake (``choquet_value``), so a refutation does not
-    rest on the lemma recursion that found it."""
+    rest on the lemma recursion that found it; each distinct truncated set
+    is integrated once, however many records share it."""
     deepest = model.deepest
     if f.space != deepest:
         raise PreconditionError("f must live on the deepest truncation")
@@ -285,15 +286,18 @@ def verify_sigma_finite(
     mu, nu = model.mu, model.nu
     failing = {A.mask for A, _, _ in verify_rn(mu, nu, f).failures}
     records = []
+    integrals = {}  # truncated mask -> its layer-cake integral, one per mask
     if failing:
         prefixes = [(1 << depth) - 1 for depth in model.depths]
         for A in deepest.subsets() if test_sets is None else test_sets:
             masks = [A.mask & prefix for prefix in prefixes]
             if failing.isdisjoint(masks):
                 continue
+            for mask in masks:
+                if mask not in integrals:
+                    integrals[mask] = choquet_value(f, nu, MeasurableSet(deepest, mask))
             mu_vals = [mu.value_of_mask(mask) for mask in masks]
-            int_vals = [choquet_value(f, nu, MeasurableSet(deepest, mask))
-                        for mask in masks]
+            int_vals = [integrals[mask] for mask in masks]
             records.append(
                 SigmaFiniteRecord(
                     set=A,

@@ -147,7 +147,7 @@ def solve_rn(mu: MonotoneMeasure, nu: MonotoneMeasure) -> SolverCertificate:
 
     # tables indexed by block selectors, over one common denominator
     masks = selector_masks(space.blocks)
-    values = [[m.value_of_mask(A).as_fraction() for A in masks] for m in (mu, nu)]
+    values = [list(map(m.fractions().__getitem__, masks)) for m in (mu, nu)]
     den = lcm(*(v.denominator for table in values for v in table))
     mu_t, nu_t = ([v.numerator * (den // v.denominator) for v in table]
                   for table in values)

@@ -15,6 +15,7 @@ by block selector s, whose bits i pick ``blocks[i]``.  Tables in that order
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from operator import or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -97,19 +98,37 @@ class MeasurableSpace:
     def set_from_mask(self, mask: int) -> "MeasurableSet":
         if mask & ~self.full_mask:
             raise ValueError("mask uses bits outside the universe")
+        self._require_measurable(mask)
+        return MeasurableSet(self, mask)
+
+    def _require_measurable(self, mask: int) -> None:
         for block in self.blocks:
             inter = mask & block
             if inter and inter != block:
                 raise InvalidFamilyError(
                     "set is not measurable: it splits an algebra atom"
                 )
-        return MeasurableSet(self, mask)
 
-    def make_set(self, atom_names: Iterable) -> "MeasurableSet":
+    @cached_property
+    def _bits(self) -> dict:
+        return {name: 1 << i for i, name in enumerate(self.atoms)}
+
+    def mask_of(self, atom_names: Iterable) -> int:
+        """The mask of the measurable set with these atoms, read through one
+        name -> bit dict per space; the split-block check runs only on a
+        partition algebra."""
         mask = 0
         for name in _names(atom_names):
-            mask |= 1 << self.index_of(name)
-        return self.set_from_mask(mask)
+            try:
+                mask |= self._bits[name]
+            except (KeyError, TypeError):  # unknown or unhashable: its error
+                mask |= 1 << self.index_of(name)
+        if not self.is_power_set:
+            self._require_measurable(mask)
+        return mask
+
+    def make_set(self, atom_names: Iterable) -> "MeasurableSet":
+        return MeasurableSet(self, self.mask_of(atom_names))
 
     @property
     def empty_set(self) -> "MeasurableSet":

@@ -29,6 +29,10 @@ sharing them changes no record.  The
 dyadic, null-additivity and strong absolute continuity oracles are the
 direct loops over the definitions (the grid of dyadic left limits, all pairs
 of sets, every set per epsilon) that the library's closed forms replace.
+The per-entry table reader is the library's former ``measure_from_table``:
+``space.make_set`` and ``ExtReal`` per entry, then every set against its
+covers by ``Fraction`` comparison, so it checks the mask reader and the
+integer cover check value, error and witness alike.
 The rule oracles are the library's former constructors, which take
 ``ext_sum`` or ``ext_max`` over each set's atoms, so they check the one
 lowest-bit fill per rule set by set; the per-set additivity test sums each
@@ -45,6 +49,7 @@ walk then print, so they check the one-walk renderers byte for byte.
 
 import dataclasses
 import json
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -74,7 +79,8 @@ from choquetrn import (
 )
 from choquetrn.choquet import IntegralBreakdown
 from choquetrn.decomposition import DecompositionReport, PairRecord, RnReport
-from choquetrn.errors import PreconditionError, SpaceMismatchError
+from choquetrn.errors import InvalidMeasureError, PreconditionError, SpaceMismatchError
+from choquetrn.spaces import selector_masks
 from choquetrn.report import _all_digits
 from choquetrn.sigma_finite import (
     SigmaFiniteRecord,
@@ -163,6 +169,42 @@ def random_additive_measure(space, rng, allow_null_atoms=True,
         lo = 0 if allow_null_atoms else 1
         weights[name] = Fraction(rng.randrange(lo, 5), rng.choice(denominators))
     return additive_measure(space, weights)
+
+
+def per_entry_measure_from_table(space, table):
+    """``measure_from_table`` one entry at a time: a set object and an
+    ``ExtReal`` per entry, and each cover compared as Fractions."""
+    full = {}
+    for key, value in table.items() if isinstance(table, Mapping) else table:
+        A = key if isinstance(key, MeasurableSet) else space.make_set(key)
+        if A.mask in full:
+            raise InvalidMeasureError(f"set {A} is listed twice")
+        full[A.mask] = ExtReal(value)
+    missing = space.n_subsets() - len(full)
+    if missing:
+        raise InvalidMeasureError(f"table is missing {missing} set(s)")
+    if full[0] != ZERO:
+        raise InvalidMeasureError(
+            "measure must vanish on the empty set",
+            witness=Witness(kind="vanishing-at-empty", sets=(space.empty_set,),
+                            values=(full[0],)),
+        )
+    values = {mask: v._frac for mask, v in full.items()}
+    for A in selector_masks(space.blocks):
+        for block in space.blocks:
+            if A & block:
+                continue
+            a, b = values[A], values[A | block]
+            if b is not None and (a is None or a > b):
+                small = MeasurableSet(space, A)
+                large = MeasurableSet(space, A | block)
+                vA, vB = full[A], full[A | block]
+                raise InvalidMeasureError(
+                    f"monotonicity violated: m({small}) = {vA} > {vB} = m({large})",
+                    witness=Witness(kind="monotonicity", sets=(small, large),
+                                    values=(vA, vB)),
+                )
+    return MonotoneMeasure(space, full, validate=False)
 
 
 def per_set_measure(space, value_of):

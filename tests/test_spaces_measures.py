@@ -33,6 +33,7 @@ from support import (
     infinite_measure,
     null_heavy_measure,
     pairwise_null_additivity,
+    per_entry_measure_from_table,
     per_set_additive_measure,
     per_set_cardinality_measure,
     per_set_indicator_full_measure,
@@ -140,6 +141,117 @@ class TestMeasureValidation:
         assert not m.is_finite
 
 
+class TestTableReader:
+    """The mask reader and the integer cover check against the per-entry
+    reader they replace, on seeded tables and their mutants: the same
+    Fractions in the same order, or the same error, message and witness."""
+
+    MUTANTS = ("none", "dropped", "duplicated", "nonzero-empty", "bump",
+               "unknown", "unhashable", "string", "split")
+
+    @staticmethod
+    def table(space, rng):
+        """(atom names, value) entries of a random monotone table, shuffled,
+        with infinite values above a random cut and values written as text,
+        Fractions, ints or ExtReals."""
+        m = random_monotone_measure(space, rng)
+        cut = m(space.full_set) * ExtReal(Fraction(rng.randrange(1, 6), 4))
+        entries = []
+        for A in space.subsets():
+            v = INF if m(A) > cut else m(A)
+            if v.is_finite and rng.random() < 0.3:
+                v = v.as_fraction() if v.as_fraction().denominator > 1 else int(v.as_fraction())
+            elif rng.random() < 0.7:
+                v = str(v)
+            entries.append((list(A.atom_names()), v))
+        rng.shuffle(entries)
+        return entries
+
+    @staticmethod
+    def mutate(space, entries, kind, rng):
+        """The entries with one defect of the given kind, or None when the
+        space has no room for it."""
+        entries = list(entries)
+        at = rng.randrange(len(entries))
+        names, value = entries[at]
+        if kind == "dropped":
+            del entries[at]
+        elif kind == "duplicated":
+            entries.insert(rng.randrange(len(entries) + 1), (names[::-1], value))
+        elif kind == "nonzero-empty":
+            empty = next(i for i, (n, _) in enumerate(entries) if not n)
+            entries[empty] = ([], rng.choice(("1/2", "inf", 3)))
+        elif kind == "bump":
+            # a set above one of its covers: the cover's finite value plus a bit
+            values = {frozenset(n): ExtReal(v) for n, v in entries}
+            pairs = [(n, values[frozenset(n) | frozenset(B.atom_names())])
+                     for n, _ in entries for B in map(space.block_set, range(space.n_blocks))
+                     if not set(B.atom_names()) & set(n)]
+            pairs = [(n, v) for n, v in pairs if v.is_finite]
+            if not pairs:
+                return None
+            n, v = rng.choice(pairs)
+            bumped = rng.choice((v + Fraction(1, 7), INF))
+            entries = [(m, str(bumped) if m == n else w) for m, w in entries]
+        elif kind == "unknown":
+            entries[at] = (names + ["zz"], value)
+        elif kind == "unhashable":
+            entries[at] = (names + [["b"]], value)
+        elif kind == "string":
+            entries[at] = (space.atoms[0], value)
+        elif kind == "split":
+            wide = [space.block_set(i) for i in range(space.n_blocks)
+                    if len(space.block_set(i)) > 1]
+            if not wide:
+                return None
+            entries[at] = ([rng.choice(wide).atom_names()[0]], value)
+        return entries
+
+    @staticmethod
+    def outcome(read, space, table):
+        try:
+            m = read(space, table)
+        except Exception as exc:  # the error is what is compared
+            return type(exc), str(exc), getattr(exc, "witness", None)
+        return list(m.fractions().items())
+
+    def test_matches_per_entry_reader(self):
+        kinds = {kind: 0 for kind in self.MUTANTS}
+        for seed in range(70):
+            rng = random.Random(seed)
+            n = 1 + seed % 7
+            space = build_space([f"x{i}" for i in range(n)])
+            if n > 2 and rng.random() < 0.6:
+                space = coarsened(space, rng)
+            entries = self.table(space, rng)
+            for kind in self.MUTANTS:
+                table = entries if kind == "none" else self.mutate(space, entries, kind, rng)
+                if table is None:
+                    continue
+                if kind not in ("unhashable", "duplicated") and rng.random() < 0.3:
+                    table = {n if isinstance(n, str) else tuple(n): v for n, v in table}
+                want = self.outcome(per_entry_measure_from_table, space, table)
+                assert self.outcome(measure_from_table, space, table) == want, (seed, kind)
+                # every mutant is refused
+                assert (kind == "none") == isinstance(want, list), (seed, kind)
+                kinds[kind] += 1
+        assert min(kinds.values()) >= 10, kinds
+
+    def test_error_texts(self):
+        space = build_space(["a", "b", "c"], partition=[["a", "c"], ["b"]])
+        for names, text in (
+            (["a"], "set is not measurable: it splits an algebra atom"),
+            (["z"], "unknown atom 'z'"),
+            ([["b"]], "unknown atom ['b']"),
+            ("b", "expected a list of atom names, got the string 'b'"),
+        ):
+            with pytest.raises(Exception) as err:
+                measure_from_table(space, [([], 0), (names, 1)])
+            assert str(err.value) == text
+        with pytest.raises(InvalidMeasureError, match=r"^set \{a,c\} is listed twice$"):
+            measure_from_table(space, [([], 0), (["a", "c"], 1), (["c", "a"], 1)])
+
+
 class TestConstructors:
     def test_additive(self):
         space = build_space(["a", "b"])
@@ -187,9 +299,11 @@ class TestConstructors:
 class TestRuleTables:
     """Each rule's lowest-bit fill against the per-set loop it replaces, on
     power-set and coarsened spaces of 1-6 atoms, with weights that are zero,
-    tied, missing and infinite."""
+    tied, missing and infinite, or over distinct large primes, whose common
+    denominator is their product."""
 
     POOL = (0, 0, 1, 1, Fraction(1, 3), Fraction(5, 2), INF)
+    PRIMES = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099)
 
     @classmethod
     def cases(cls, seeds=20):
@@ -200,8 +314,12 @@ class TestRuleTables:
             for n in range(1, 7):
                 space = build_space([f"x{i}" for i in range(n)])
                 for space in (space, coarsened(space, rng)):
-                    weights = {a: rng.choice(cls.POOL) for a in space.atoms
-                               if rng.random() < 0.8}
+                    if rng.random() < 0.25:
+                        weights = {a: Fraction(rng.randrange(1, p), p)
+                                   for a, p in zip(space.atoms, cls.PRIMES)}
+                    else:
+                        weights = {a: rng.choice(cls.POOL) for a in space.atoms
+                                   if rng.random() < 0.8}
                     yield rng, space, weights
 
     @staticmethod
