@@ -4,21 +4,21 @@ Run with:  python3 demos/demo_radon_nikodym.py
 
 Three stories on one stage:
   1. a four-point pair with two genuinely different densities,
-  2. pairs with no density at all, refuted by whole prefixes of removed
-     atoms, each with its witness sets,
+  2. pairs with no density at all, each refuted at one set by the Moebius
+     identity m_mu(A) = m_nu(A) * min_A f,
   3. the decomposition-family machinery that certifies both answers.
 """
 
 from choquetrn import (
+    abs_continuous,
     build_space,
-    cardinality_measure,
     check_decomposition,
     derive_function,
     dyadic_approximant,
     equal_ae,
     fixture_f1,
     fixture_f3,
-    indicator_full_measure,
+    measure_from_table,
     solve_rn,
     verify_rn,
 )
@@ -55,37 +55,30 @@ def main():
     fx3 = fixture_f3()
     print("nu = indicator of the full universe on {1,2}, mu = |A|/2")
     cert = solve_rn(fx3.mu, fx3.nu)
-    print(f"  solvable: {cert.solvable}")
-    for record in cert.chain_records:
-        print(f"  prefix {record.removal_order}: {record.reason} on "
-              f"{', '.join(map(str, record.sets))}")
-    print("  every maximal chain is infeasible, so no nonnegative density")
-    print("  exists; note that mu << nu still holds, absolute continuity")
-    print("  alone is not enough for monotone measures.")
+    print(f"  solvable: {cert.solvable}, refuted at: {cert.note}")
+    print("  any density f has m_mu(A) = m_nu(A) * min_A f on every set A,")
+    print("  and here the right side vanishes on {1}.  So does nu:")
+    print(f"  {', '.join(map(str, cert.ac_witness.sets))} is nu-null but not "
+          "mu-null, and mu << nu fails.")
 
     print()
-    print("== refuting whole prefixes ==")
-    space3 = build_space(["1", "2", "3"])
-    mu3 = cardinality_measure(space3, "1/3")
-    nu3 = indicator_full_measure(space3)
-    print("nu = indicator of the full universe on {1,2,3}, mu = |A|/3")
-    cert3 = solve_rn(mu3, nu3)
-    print(f"  solvable: {cert3.solvable}")
-    for record in cert3.chain_records:
-        print(f"  prefix {record.removal_order}: {record.reason} on "
-              f"{', '.join(map(str, record.sets))} "
-              f"({record.chains} maximal chains)")
-    print(f"  {cert3.chains_refuted} maximal chains refuted by "
-          f"{len(cert3.chain_records)} records: the first removed atom b")
-    print("  would need Delta_b mu(A) = h_b * Delta_b nu(A) on A = {b}, where")
-    print("  Delta_b m(A) = m(A) - m(A - b), that is 1/3 = h_b * 0, so no")
-    print("  chain removing it first can work, whatever comes after.")
+    print("== refuted where the least candidate is too large ==")
+    space2 = build_space(["a", "b"])
+    mu2 = measure_from_table(space2, {(): 0, ("a",): 2, ("b",): 2, ("a", "b"): 5})
+    nu2 = measure_from_table(space2, {(): 0, ("a",): 1, ("b",): 1, ("a", "b"): 3})
+    print("nu = 1, 1, 3 and mu = 2, 2, 5 on {a}, {b}, {a,b}")
+    cert2 = solve_rn(mu2, nu2)
+    print(f"  solvable: {cert2.solvable}, refuted at: {cert2.note}")
+    print(f"  mu << nu holds: {abs_continuous(mu2, nu2).holds}, yet every density is at")
+    print("  least g(a), the largest m_mu(A) / m_nu(A) over the sets A holding a:")
+    print("  2 on both atoms, so min f over {a,b} >= 2 where 1 is needed.")
+    print("  Absolute continuity alone is not enough for monotone measures.")
 
     print()
     print("== and one that solves ==")
     cert1 = solve_rn(fx.mu, fx.nu)
     print(f"  solver density for the four-point pair: {cert1.function}")
-    print("  (the constant 1, a third density besides f1 and f2)")
+    print("  (the constant 1, the least density, below both f1 and f2)")
 
 
 if __name__ == "__main__":

