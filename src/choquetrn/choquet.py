@@ -167,8 +167,7 @@ def indefinite_integral_measure(f: SimpleFunction, nu: MonotoneMeasure) -> Monot
     The table is ``integral_fractions(f, nu)``: one lemma step per set, with
     the conventions of ``ExtReal`` (0 * inf = 0, c * inf = inf for c > 0).
     """
-    table = {mask: ExtReal(v) for mask, v in integral_fractions(f, nu).items()}
-    return MonotoneMeasure(f.space, table, validate=False)
+    return MonotoneMeasure(f.space, integral_fractions(f, nu), validate=False)
 
 
 def is_comonotone(f: SimpleFunction, g: SimpleFunction) -> Verdict:

@@ -9,16 +9,16 @@ compares with, is a lowest-bit fill of block weights: a set's value is the
 value without its lowest block plus (additive, cardinality, zero) or max
 (max-weight) that block's weight.
 
-Tables are built over masks and integers; ``ExtReal`` reads each value once
-and is what every accessor returns.
+A measure is one table, mask -> Fraction with None for infinity.  Every
+decision reads it by mask; the accessors wrap an entry in ``ExtReal``, and
+set objects and ``ExtReal`` values are built only for witnesses.
 - An explicit table's sets are read by ``space.mask_of``: one name -> bit
   dict per space, the split-block check only on a partition algebra, no set
-  object per entry.  Each distinct value text of a table is read once.
+  object per entry.  Each distinct value is read once, through ``ExtReal``.
 - The cover check compares (numerator, denominator) pairs by integer
-  cross-products, with (1, 0) for infinity, and builds set objects only for
-  the witness.
-- ``fractions()``, the table as Fractions with None for infinity, is built
-  once per measure and shared by every caller, which must not change it.
+  cross-products, with (1, 0) for infinity.
+- ``fractions()`` is the table itself, shared by every caller, which must
+  not change it.
 - Rule fills run in integers over the common denominator of the (at most
   ``specio.MAX_ATOMS``) block weights, with a mask of the blocks whose
   weight is infinite, and read each distinct sum once.
@@ -33,27 +33,24 @@ from operator import add
 from typing import Dict, Mapping, Optional
 
 from .errors import InvalidMeasureError, SpaceMismatchError
-from .extreal import ExtReal, INF, ZERO
+from .extreal import ExtReal, ZERO
 from .results import Verdict, Witness
 from .spaces import MeasurableSet, MeasurableSpace, lowest_bit_fill, selector_masks
 
 
 class MonotoneMeasure:
-    """A validated monotone measure, materialized as a full table.
+    """A validated monotone measure: its table, mask -> Fraction with None
+    for infinity, over every measurable set.
 
-    The table is never changed after construction, so what is derived from
-    it alone (its Fraction view, the running null union of the classifiers)
-    is computed once and kept here.
+    The table is never changed after construction.  The accessors wrap one
+    entry in ``ExtReal``; ``fractions()`` hands out the table itself.
     """
 
-    __slots__ = ("space", "_table", "_fractions", "_null_scan")
+    __slots__ = ("space", "_table")
 
-    def __init__(self, space: MeasurableSpace, table: Dict[int, ExtReal],
-                 validate: bool = True):
+    def __init__(self, space: MeasurableSpace, table: dict, validate: bool = True):
         self.space = space
         self._table = table
-        self._fractions = None
-        self._null_scan = None
         missing = space.n_subsets() - len(table)
         if missing:
             raise InvalidMeasureError(f"table is missing {missing} set(s)")
@@ -61,14 +58,14 @@ class MonotoneMeasure:
             self._validate()
 
     def _validate(self) -> None:
-        empty = self._table[0]
-        if empty != ZERO:
+        table = self._table
+        if table[0] != 0:
             raise InvalidMeasureError(
                 "measure must vanish on the empty set",
                 witness=Witness(
                     kind="vanishing-at-empty",
                     sets=(self.space.empty_set,),
-                    values=(empty,),
+                    values=(ExtReal(table[0]),),
                 ),
             )
         # Checking each set against its covers (add one block) implies full
@@ -77,7 +74,7 @@ class MonotoneMeasure:
         # is one integer cross-product comparison, for infinite ones too.
         pairs = {
             A: (1, 0) if q is None else (q.numerator, q.denominator)
-            for A, q in self.fractions().items()
+            for A, q in table.items()
         }
         blocks = self.space.blocks
         for A in selector_masks(blocks):
@@ -89,7 +86,7 @@ class MonotoneMeasure:
                 if a_num * b_den > b_num * a_den:
                     small = MeasurableSet(self.space, A)
                     large = MeasurableSet(self.space, A | block)
-                    vA, vB = self._table[A], self._table[A | block]
+                    vA, vB = ExtReal(table[A]), ExtReal(table[A | block])
                     raise InvalidMeasureError(
                         f"monotonicity violated: m({small}) = {vA} > {vB} = m({large})",
                         witness=Witness(
@@ -100,25 +97,22 @@ class MonotoneMeasure:
     def __call__(self, A: MeasurableSet) -> ExtReal:
         if A.space != self.space:
             raise SpaceMismatchError("set and measure live on different spaces")
-        return self._table[A.mask]
+        return ExtReal(self._table[A.mask])
 
     def value_of_mask(self, mask: int) -> ExtReal:
-        return self._table[mask]
+        return ExtReal(self._table[mask])
 
     def fractions(self) -> Dict[int, Optional[Fraction]]:
-        """The table as mask -> Fraction, None standing for infinity.
-
-        Built once and shared by every caller, which must not change it."""
-        if self._fractions is None:
-            self._fractions = {mask: v._frac for mask, v in self._table.items()}
-        return self._fractions
+        """The table, mask -> Fraction with None for infinity; shared by
+        every caller, which must not change it."""
+        return self._table
 
     @property
     def is_finite(self) -> bool:
-        return self._table[self.space.full_mask].is_finite
+        return self._table[self.space.full_mask] is not None
 
     def block_value(self, block_index: int) -> ExtReal:
-        return self._table[self.space.blocks[block_index]]
+        return ExtReal(self._table[self.space.blocks[block_index]])
 
     def is_additive(self) -> bool:
         """True iff the measure equals the sum of its block values on every set."""
@@ -133,9 +127,7 @@ class MonotoneMeasure:
         )
 
     def null_sets(self):
-        for A in self.space.subsets():
-            if self._table[A.mask] == ZERO:
-                yield A
+        return (MeasurableSet(self.space, mask) for mask in _null_masks(self))
 
     def __eq__(self, other):
         return (
@@ -153,18 +145,17 @@ class MonotoneMeasure:
 def measure_from_table(space: MeasurableSpace, table) -> MonotoneMeasure:
     """Build a measure from {set: value} or (set, value) pairs, each set a
     MeasurableSet or atom names; a set given twice is an error."""
-    read: Dict[str, ExtReal] = {}  # a table repeats its values: each text is read once
-    full: Dict[int, ExtReal] = {}
+    read, full = {}, {}  # a table repeats its values: each text or number is read once
     for key, value in table.items() if isinstance(table, Mapping) else table:
         mask = key.mask if isinstance(key, MeasurableSet) else space.mask_of(key)
         if mask in full:
             raise InvalidMeasureError(f"set {MeasurableSet(space, mask)} is listed twice")
-        if type(value) is not str:
-            full[mask] = ExtReal(value)
+        if type(value) not in (str, int, Fraction):
+            full[mask] = ExtReal(value)._frac
         elif value in read:
             full[mask] = read[value]
         else:
-            full[mask] = read[value] = ExtReal(value)
+            full[mask] = read[value] = ExtReal(value)._frac
     return MonotoneMeasure(space, full)
 
 
@@ -178,7 +169,7 @@ def _integer_fill(weights, combine):
     return den, lowest_bit_fill(ints, combine, 0), inf
 
 
-def _weight_fill(space: MeasurableSpace, weights: Mapping, combine) -> Dict[int, ExtReal]:
+def _weight_fill(space: MeasurableSpace, weights: Mapping, combine) -> dict:
     """mask -> the set's atom weights (missing ones 0) combined by ``combine``,
     add or max."""
     w = [ZERO] * len(space.atoms)
@@ -190,9 +181,9 @@ def _weight_fill(space: MeasurableSpace, weights: Mapping, combine) -> Dict[int,
         for block in blocks
     ]
     den, table, inf = _integer_fill(block_weights, combine)
-    value = {v: ExtReal(Fraction(v, den)) for v in set(table)}
+    value = {v: Fraction(v, den) for v in set(table)}
     return dict(zip(selector_masks(blocks),
-                    [INF if s & inf else value[v] for s, v in enumerate(table)]))
+                    [None if s & inf else value[v] for s, v in enumerate(table)]))
 
 
 def additive_measure(space: MeasurableSpace, weights: Mapping) -> MonotoneMeasure:
@@ -202,8 +193,8 @@ def additive_measure(space: MeasurableSpace, weights: Mapping) -> MonotoneMeasur
 
 def indicator_full_measure(space: MeasurableSpace, value=1) -> MonotoneMeasure:
     """value on the whole universe, 0 on every proper subset."""
-    table = _weight_fill(space, {}, add)
-    table[space.full_mask] = ExtReal(value)
+    table = dict.fromkeys(selector_masks(space.blocks), Fraction(0))
+    table[space.full_mask] = ExtReal(value)._frac
     return MonotoneMeasure(space, table, validate=False)
 
 
@@ -243,24 +234,28 @@ def make_measure(space: MeasurableSpace, spec: Mapping) -> MonotoneMeasure:
 
 # -- classifiers -------------------------------------------------------------
 
+def _null_masks(m: MonotoneMeasure) -> list:
+    """The masks of m's null sets, in canonical order."""
+    table = m.fractions()
+    return [mask for mask in selector_masks(m.space.blocks) if table[mask] == 0]
+
+
 def _null_union(m: MonotoneMeasure):
     """Adjoin the null sets, in canonical order, to a running union U: returns
-    (U, N, m(U | N)) at the first null N with U | N not null, else (N*, None, 0).
-    """
-    U = m.space.empty_set
-    for N in m.null_sets():
-        v = m(U | N)
-        if v != ZERO:
+    the masks U, N and the value m(U | N) at the first null N with U | N not
+    null, else (N*, None, 0)."""
+    table = m.fractions()
+    U = 0
+    for N in _null_masks(m):
+        v = table[U | N]
+        if v != 0:
             return U, N, v
-        U = U | N
-    return U, None, ZERO
+        U |= N
+    return U, None, 0
 
 
-def _null_scan(m: MonotoneMeasure):
-    """``_null_union(m)``, computed once per measure for all classifiers."""
-    if m._null_scan is None:
-        m._null_scan = _null_union(m)
-    return m._null_scan
+def _sets(m: MonotoneMeasure, *masks) -> tuple:
+    return tuple(MeasurableSet(m.space, mask) for mask in masks)
 
 
 def is_weakly_null_additive(m: MonotoneMeasure) -> Verdict:
@@ -272,10 +267,11 @@ def is_weakly_null_additive(m: MonotoneMeasure) -> Verdict:
     monotonicity.  The running union U stays null until the first null N
     with m(U | N) != 0, and (U, N, U | N) is then the witness.
     """
-    U, N, v = _null_scan(m)
+    U, N, v = _null_union(m)
     if N is None:
         return Verdict(holds=True)
-    witness = Witness("weak-null-additivity", (U, N, U | N), (ZERO, ZERO, v))
+    witness = Witness("weak-null-additivity", _sets(m, U, N, U | N),
+                      (ZERO, ZERO, ExtReal(v)))
     return Verdict(holds=False, witness=witness)
 
 
@@ -289,17 +285,19 @@ def is_null_additive(m: MonotoneMeasure) -> Verdict:
     (A, N*, A | N*) at the first A with m(A | N*) != m(A), which is also the
     first A that some null set changes.
     """
-    U, N, v_union = _null_scan(m)
-    A, v_A = U, ZERO
+    U, N, v_union = _null_union(m)
+    A, v_A = U, 0
     if N is None:
         N = U  # the union N* of all null sets
-        for A in m.space.subsets():
-            v_A, v_union = m(A), m(A | N)
+        table = m.fractions()
+        for A in selector_masks(m.space.blocks):
+            v_A, v_union = table[A], table[A | N]
             if v_union != v_A:
                 break
         else:
             return Verdict(holds=True)
-    witness = Witness("null-additivity", (A, N, A | N), (v_A, ZERO, v_union))
+    witness = Witness("null-additivity", _sets(m, A, N, A | N),
+                      (ExtReal(v_A), ZERO, ExtReal(v_union)))
     return Verdict(holds=False, witness=witness)
 
 
@@ -320,14 +318,13 @@ def abs_continuous(mu: MonotoneMeasure, nu: MonotoneMeasure) -> Verdict:
     """Every nu-null set is mu-null."""
     if mu.space != nu.space:
         raise SpaceMismatchError("measures live on different spaces")
-    for A in nu.null_sets():
-        v = mu(A)
-        if v != ZERO:
+    mu_t = mu.fractions()
+    for A in _null_masks(nu):
+        if mu_t[A] != 0:
             return Verdict(
                 holds=False,
-                witness=Witness(
-                    kind="absolute-continuity", sets=(A,), values=(ZERO, v)
-                ),
+                witness=Witness(kind="absolute-continuity", sets=_sets(mu, A),
+                                values=(ZERO, ExtReal(mu_t[A]))),
             )
     return Verdict(holds=True)
 

@@ -134,8 +134,8 @@ def make_truncation_model(
     # a level's table is finite iff its value on the level's prefix is
     for level, depth in enumerate(depths):
         prefix = (1 << depth) - 1
-        if not (mus[level].value_of_mask(prefix).is_finite
-                and nus[level].value_of_mask(prefix).is_finite):
+        if (mus[level].fractions()[prefix] is None
+                or nus[level].fractions()[prefix] is None):
             raise PreconditionError(
                 f"measures must be finite on every truncation (level {level})"
             )
@@ -145,16 +145,17 @@ def make_truncation_model(
     # rule's one table is the same object at both levels and is skipped.
     for level in range(len(depths) - 1):
         pairs = [
-            (label, measures[level], measures[level + 1])
+            (label, measures[level].space, measures[level].fractions(),
+             measures[level + 1].fractions())
             for measures, label in ((mus, "mu"), (nus, "nu"))
             if measures[level] is not measures[level + 1]
         ]
         if not pairs:
             continue
         for mask in range(1 << depths[level]):
-            for label, shallow, deep in pairs:
-                if shallow.value_of_mask(mask) != deep.value_of_mask(mask):
-                    A = MeasurableSet(shallow.space, mask)
+            for label, space, shallow, deep in pairs:
+                if shallow[mask] != deep[mask]:
+                    A = MeasurableSet(space, mask)
                     raise PreconditionError(
                         f"inconsistent generators: {label}({A}) differs between "
                         f"levels {level} and {level + 1}"

@@ -198,14 +198,12 @@ def hahn_positive_set(mu: MonotoneMeasure, nu: MonotoneMeasure, tau) -> Measurab
         raise SpaceMismatchError("measures live on different spaces")
     _require_additive(mu, nu)
     t = ExtReal(tau).as_fraction()
-    space = mu.space
+    mu_t, nu_t = mu.fractions(), nu.fractions()
     mask = 0
-    for i in range(space.n_blocks):
-        mw = mu.block_value(i).as_fraction()
-        nw = nu.block_value(i).as_fraction()
-        if mw - t * nw >= 0:
-            mask |= space.blocks[i]
-    return MeasurableSet(space, mask)
+    for block in mu.space.blocks:
+        if mu_t[block] - t * nu_t[block] >= 0:
+            mask |= block
+    return MeasurableSet(mu.space, mask)
 
 
 def classical_family(mu: MonotoneMeasure, nu: MonotoneMeasure) -> DecompositionFamily:
@@ -232,17 +230,9 @@ def density_ratios(mu: MonotoneMeasure, nu: MonotoneMeasure) -> SimpleFunction:
 
 
 def _ratios(mu: MonotoneMeasure, nu: MonotoneMeasure) -> SimpleFunction:
-    space = mu.space
-    values = []
-    for i in range(space.n_blocks):
-        nw = nu.block_value(i)
-        if nw == ZERO:
-            values.append(ZERO)
-        else:
-            values.append(
-                ExtReal(mu.block_value(i).as_fraction() / nw.as_fraction())
-            )
-    return SimpleFunction(space, tuple(values))
+    mu_t, nu_t = mu.fractions(), nu.fractions()
+    return SimpleFunction(mu.space, tuple(
+        ExtReal(mu_t[b] / nu_t[b]) if nu_t[b] else ZERO for b in mu.space.blocks))
 
 
 @dataclass(frozen=True)

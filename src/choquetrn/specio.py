@@ -95,6 +95,10 @@ def parse_problem(data: dict) -> ProblemSpec:
                 _reject_inexact(entry, f"{key}.{name}")
         else:
             _reject_inexact(value, str(key))
+    # these keys live on the space that "atoms" names
+    for key in ("partition", "measures", "functions", "family"):
+        if key in data and "atoms" not in data:
+            raise SpecFileError("needs 'atoms', the space it lives on", location=key)
     spec = ProblemSpec(raw=data)
     try:
         if "atoms" in data:
@@ -104,35 +108,34 @@ def parse_problem(data: dict) -> ProblemSpec:
     except _MALFORMED as exc:
         raise SpecFileError(_reason(exc), location="atoms/partition") from exc
 
-    if spec.space is not None:
-        for name, rule in _object(data.get("measures", {}), "measures").items():
-            location = f"measures.{name}"
-            _object(rule, location)
-            try:
-                spec.measures[name] = make_measure(spec.space, rule)
-            except _MALFORMED as exc:
-                raise SpecFileError(_reason(exc), location=location) from exc
-        for name, table in _object(data.get("functions", {}), "functions").items():
-            location = f"functions.{name}"
-            _object(table, location)
-            try:
-                spec.functions[name] = function_from_values(spec.space, table)
-            except _MALFORMED as exc:
-                raise SpecFileError(_reason(exc), location=location) from exc
-        if "family" in data:
-            try:
-                breakpoints = [
-                    (entry["alpha"], spec.space.make_set(entry["set"]))
-                    for entry in data["family"]
-                ]
-                zero_plus = (
-                    spec.space.make_set(data["zero_plus"])
-                    if "zero_plus" in data
-                    else None
-                )
-                spec.family = make_family(spec.space, breakpoints, zero_plus=zero_plus)
-            except _MALFORMED as exc:
-                raise SpecFileError(_reason(exc), location="family") from exc
+    for name, rule in _object(data.get("measures", {}), "measures").items():
+        location = f"measures.{name}"
+        _object(rule, location)
+        try:
+            spec.measures[name] = make_measure(spec.space, rule)
+        except _MALFORMED as exc:
+            raise SpecFileError(_reason(exc), location=location) from exc
+    for name, table in _object(data.get("functions", {}), "functions").items():
+        location = f"functions.{name}"
+        _object(table, location)
+        try:
+            spec.functions[name] = function_from_values(spec.space, table)
+        except _MALFORMED as exc:
+            raise SpecFileError(_reason(exc), location=location) from exc
+    if "family" in data:
+        try:
+            breakpoints = [
+                (entry["alpha"], spec.space.make_set(entry["set"]))
+                for entry in data["family"]
+            ]
+            zero_plus = (
+                spec.space.make_set(data["zero_plus"])
+                if "zero_plus" in data
+                else None
+            )
+            spec.family = make_family(spec.space, breakpoints, zero_plus=zero_plus)
+        except _MALFORMED as exc:
+            raise SpecFileError(_reason(exc), location="family") from exc
 
     if "truncations" in data:
         block = _object(data["truncations"], "truncations")

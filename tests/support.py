@@ -31,6 +31,9 @@ sharing them changes no record.  The
 dyadic, null-additivity and strong absolute continuity oracles are the
 direct loops over the definitions (the grid of dyadic left limits, all pairs
 of sets, every set per epsilon) that the library's closed forms replace.
+The set-object classifiers are the library's former null-set walk, a set
+object per set and an ``ExtReal`` comparison per test, so they check the
+scans of the mask -> Fraction table verdict and witness alike.
 The per-entry table reader is the library's former ``measure_from_table``:
 ``space.make_set`` and ``ExtReal`` per entry, then every set against its
 covers by ``Fraction`` comparison, so it checks the mask reader and the
@@ -223,13 +226,13 @@ def per_entry_measure_from_table(space, table):
                     witness=Witness(kind="monotonicity", sets=(small, large),
                                     values=(vA, vB)),
                 )
-    return MonotoneMeasure(space, full, validate=False)
+    return MonotoneMeasure(space, values, validate=False)
 
 
 def per_set_measure(space, value_of):
     """The measure whose table holds ``value_of(A)`` for every set A, one
     set at a time: the loop the lowest-bit rule fills replace."""
-    table = {A.mask: value_of(A) for A in space.subsets()}
+    table = {A.mask: value_of(A)._frac for A in space.subsets()}
     return MonotoneMeasure(space, table, validate=False)
 
 
@@ -932,6 +935,54 @@ def pairwise_null_additivity(m):
     )
     return (Verdict(holds=weak is None, witness=weak),
             Verdict(holds=null is None, witness=null))
+
+
+def set_object_null_sets(m):
+    """m's null sets in canonical order, one set object and one ``ExtReal``
+    comparison per set."""
+    return [A for A in m.space.subsets() if m(A) == ZERO]
+
+
+def _set_object_null_union(m):
+    U = m.space.empty_set
+    for N in set_object_null_sets(m):
+        v = m(U | N)
+        if v != ZERO:
+            return U, N, v
+        U = U | N
+    return U, None, ZERO
+
+
+def set_object_weakly_null_additive(m):
+    U, N, v = _set_object_null_union(m)
+    if N is None:
+        return Verdict(holds=True)
+    witness = Witness("weak-null-additivity", (U, N, U | N), (ZERO, ZERO, v))
+    return Verdict(holds=False, witness=witness)
+
+
+def set_object_null_additive(m):
+    U, N, v_union = _set_object_null_union(m)
+    A, v_A = U, ZERO
+    if N is None:
+        N = U
+        for A in m.space.subsets():
+            v_A, v_union = m(A), m(A | N)
+            if v_union != v_A:
+                break
+        else:
+            return Verdict(holds=True)
+    witness = Witness("null-additivity", (A, N, A | N), (v_A, ZERO, v_union))
+    return Verdict(holds=False, witness=witness)
+
+
+def set_object_abs_continuous(mu, nu):
+    for A in set_object_null_sets(nu):
+        v = mu(A)
+        if v != ZERO:
+            return Verdict(holds=False, witness=Witness(
+                kind="absolute-continuity", sets=(A,), values=(ZERO, v)))
+    return Verdict(holds=True)
 
 
 def scan_strong_abs_continuity(mu, nu):

@@ -44,6 +44,10 @@ from support import (
     random_monotone_measure,
     random_space,
     scan_strong_abs_continuity,
+    set_object_abs_continuous,
+    set_object_null_additive,
+    set_object_null_sets,
+    set_object_weakly_null_additive,
 )
 
 
@@ -495,6 +499,48 @@ class TestClosedFormClassifiers:
                 assert null.witness.values == (m(A), m(N), m(union))
                 assert m(N) == ZERO and m(union) != m(A)
         assert min(outcomes.values()) >= 30, outcomes
+
+    def test_table_scans_match_set_object_oracle(self):
+        """Verdicts and witnesses, sets and values, equal the former walk's
+        over power-set, coarsened, null-heavy and partly infinite measures."""
+        rng = random.Random(33)
+        outcomes = {}
+
+        def partly_infinite(m):
+            # infinite above a value of m, or on every set meeting a block:
+            # still monotone either way
+            cut, block = rng.choice([m(A) for A in m.space.subsets()]), 0
+            if rng.random() < 0.5:
+                cut, block = INF, rng.choice(m.space.blocks)
+            return measure_from_table(m.space, {
+                A: INF if m(A) > cut or A.mask & block else m(A)
+                for A in m.space.subsets()})
+
+        def check(got, want, label):
+            assert got == want, label
+            if not got.holds:
+                assert all(type(v) is ExtReal for v in got.witness.values), label
+                label += "-inf" if INF in got.witness.values else ""
+            outcomes[label, got.holds] = outcomes.get((label, got.holds), 0) + 1
+
+        for _ in range(400):
+            space = random_space(rng, 1, 6)
+            if space.n_blocks > 2 and rng.random() < 0.4:
+                space = coarsened(space, rng)
+            measures = [null_heavy_measure(space, rng),
+                        random_monotone_measure(space, rng, max_step=1)]
+            measures += [partly_infinite(m) for m in measures if rng.random() < 0.5]
+            for m in measures:
+                assert list(m.null_sets()) == set_object_null_sets(m)
+                check(is_weakly_null_additive(m), set_object_weakly_null_additive(m),
+                      "weak")
+                check(is_null_additive(m), set_object_null_additive(m), "null")
+            for mu in measures:
+                for nu in measures:
+                    check(abs_continuous(mu, nu), set_object_abs_continuous(mu, nu),
+                          "ac")
+        # each verdict holds and fails, and each kind of witness shows inf
+        assert len(outcomes) == 9 and min(outcomes.values()) >= 20, outcomes
 
     def test_strong_abs_continuity_matches_scan_oracle(self):
         rng = random.Random(32)

@@ -266,6 +266,12 @@ def test_error_locations():
     ({"truncations": {"N_max": 3, "depths": [5], "measures": {
         "mu": {"rule": "cardinality"}, "nu": {"rule": "cardinality"}}}},
      "truncations"),
+    # a key that lives on the space is an error without atoms, not dropped
+    ({"measures": {"mu": {"rule": "zero"}, "nu": {"rule": "zero"}}}, "measures"),
+    ({"functions": {"f": {"a": "1"}}}, "functions"),
+    ({"family": [{"alpha": "0", "set": []}]}, "family"),
+    ({"partition": [["a"]], "truncations": {"N_max": 1, "measures": {
+        "mu": {"rule": "cardinality"}, "nu": {"rule": "cardinality"}}}}, "partition"),
 ])
 def test_malformed_entries_are_located(data, location):
     """Wrong types and values in any entry give a located SpecFileError,
