@@ -122,6 +122,17 @@ def choquet_value(
     return choquet_integral(f, nu, A).total
 
 
+def lemma_order(f: SimpleFunction) -> tuple:
+    """(heights, masks): the values of f as Fractions, None for inf, with the
+    blocks in ascending f (ties by index), and the selector masks over the
+    blocks in that order.  The lowest block of every selector is least on
+    its set, so the lemma steps from the set without it."""
+    space = f.space
+    order = sorted(range(space.n_blocks), key=f.values.__getitem__)
+    heights = [f.values[i]._frac for i in order]
+    return heights, selector_masks([space.blocks[i] for i in order])
+
+
 def integral_fractions(f: SimpleFunction, nu: MonotoneMeasure) -> dict:
     """mask -> integral of f over the set, for every measurable set, as a
     Fraction, None standing for infinity.
@@ -136,12 +147,9 @@ def integral_fractions(f: SimpleFunction, nu: MonotoneMeasure) -> dict:
     otherwise; nu(A) = inf with f(b) > 0 gives inf; and an infinite
     tab[s \\ b] stays infinite.
     """
-    space = f.space
-    if nu.space != space:
+    if nu.space != f.space:
         raise SpaceMismatchError("function and measure live on different spaces")
-    order = sorted(range(space.n_blocks), key=f.values.__getitem__)
-    heights = [f.values[i]._frac for i in order]  # None for inf
-    masks = selector_masks([space.blocks[i] for i in order])
+    heights, masks = lemma_order(f)
     nu_t = nu.fractions()
     nus = [nu_t[mask] for mask in masks]
     tab = [Fraction(0)] * len(masks)

@@ -28,6 +28,7 @@ it is the definitional re-check of the glued density, not a second decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .choquet import choquet_value
@@ -95,6 +96,12 @@ class TruncationModel:
     deepest: MeasurableSpace     # the power set of the deepest prefix
     mu: MonotoneMeasure          # on ``deepest``; level n's is its restriction
     nu: MonotoneMeasure
+
+    @cached_property
+    def family(self) -> DecompositionFamily:
+        """The threshold-tail family on the deepest prefix, built on first
+        use and kept: parsing validates it and gluing reads it."""
+        return threshold_tail_family(self.deepest)
 
 
 def make_truncation_model(
@@ -208,9 +215,8 @@ def glue_derivative(model: TruncationModel) -> GlueResult:
     U_n, that is iff its mask is below 2^depth.  The identity agrees with
     itself on every prefix, so the glued function is the deepest one.
     """
-    family = threshold_tail_family(model.deepest)
-    decomposition = check_decomposition(model.mu, model.nu, family)
-    f = derive_function(family)
+    decomposition = check_decomposition(model.mu, model.nu, model.family)
+    f = derive_function(model.family)
     witness = decomposition.witness
     per_truncation = tuple(
         witness is None or witness.sets[0].mask >> depth != 0

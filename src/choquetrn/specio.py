@@ -29,7 +29,7 @@ from .decomposition import DecompositionFamily, make_family
 from .errors import ChoquetRnError, SpecFileError
 from .functions import SimpleFunction, function_from_values
 from .measures import MonotoneMeasure, make_measure
-from .sigma_finite import TruncationModel, make_truncation_model, threshold_tail_family
+from .sigma_finite import TruncationModel, make_truncation_model
 from .spaces import MeasurableSpace, build_space
 
 
@@ -99,6 +99,9 @@ def parse_problem(data: dict) -> ProblemSpec:
     for key in ("partition", "measures", "functions", "family"):
         if key in data and "atoms" not in data:
             raise SpecFileError("needs 'atoms', the space it lives on", location=key)
+    # and zero_plus refines the family
+    if "zero_plus" in data and "family" not in data:
+        raise SpecFileError("needs 'family'", location="zero_plus")
     spec = ProblemSpec(raw=data)
     try:
         if "atoms" in data:
@@ -168,8 +171,8 @@ def parse_problem(data: dict) -> ProblemSpec:
                     f"unknown family {family!r}; the truncation family is "
                     "'threshold_tail'"
                 )
-            # the family's thresholds are the atom names
-            threshold_tail_family(spec.model.deepest)
+            # the family's thresholds are the atom names; gluing reuses it
+            spec.model.family
         except SpecFileError:
             raise
         except _MALFORMED as exc:

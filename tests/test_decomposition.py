@@ -33,13 +33,17 @@ from choquetrn import (
     verify_rn,
     zero_measure,
 )
+from choquetrn import decomposition
 from choquetrn.decomposition import PairRecord
 from support import (
     all_pairs_decomposition,
     coarsened,
     grid_dyadic_approximant,
+    infinite_measure,
     left_limit,
     null_heavy_measure,
+    per_set_verify_rn,
+    prime_denominator_measure,
     random_fraction,
     random_monotone_measure,
     random_simple_function,
@@ -417,6 +421,81 @@ class TestDeriveAndVerify:
             assert fx.mu(A) == lhs
             assert choquet_value(f, fx.nu, A) == rhs
             assert lhs != rhs
+
+
+def tied_function(space, rng):
+    """f drawn from a pool of three or four values, so ties are common,
+    holding 0 and, half of the time, infinity."""
+    pool = [ZERO] + [ExtReal(random_fraction(rng, max_num=5)) for _ in range(2)]
+    pool += [INF] * (rng.random() < 0.5)
+    return SimpleFunction(space, tuple(rng.choice(pool) for _ in space.blocks))
+
+
+NU_KINDS = {
+    "generic": random_monotone_measure,
+    "null-heavy": null_heavy_measure,
+    "prime": prime_denominator_measure,
+    "infinite": infinite_measure,
+}
+
+
+class TestIntegerScans:
+    """verify_rn's and check_decomposition's integer lemma scans against the
+    per-set oracles: one full Choquet integral per set, and every band pair
+    on every set in Fractions."""
+
+    def test_scans_match_the_per_set_oracles(self, monkeypatch):
+        built = []
+        integral_fractions = decomposition.integral_fractions
+        monkeypatch.setattr(decomposition, "integral_fractions",
+                            lambda f, nu: built.append(f) or integral_fractions(f, nu))
+        rng = random.Random(53)
+        seen = Counter()
+        for trial in range(480):
+            space = random_space(rng, 2, 5)
+            if trial % 3 == 1:
+                space = coarsened(space, rng)
+            kind = list(NU_KINDS)[trial % 4]
+            nu = NU_KINDS[kind](space, rng)
+            f = tied_function(space, rng)
+            mu = indefinite_integral_measure(f, nu)
+            change = (trial // 4) % 4
+            S = list(space.subsets())[rng.randrange(1, space.n_subsets())].mask
+            if change == 1:  # raised on the supersets of S
+                bump = rng.choice((Fraction(1, 4), Fraction(1, 2), 1))
+                mu = measure_from_table(space, {
+                    A: mu(A) + bump if A.mask & S == S else mu(A)
+                    for A in space.subsets()})
+            elif change == 2:  # infinite on the supersets of S
+                mu = measure_from_table(space, {
+                    A: INF if A.mask & S == S else mu(A) for A in space.subsets()})
+            elif change == 3:  # the integral of a function changed on one block
+                values = list(f.values)
+                values[rng.randrange(space.n_blocks)] = rng.choice(
+                    (ZERO, INF, ExtReal(Fraction(1, 3)), ExtReal(2)))
+                mu = indefinite_integral_measure(SimpleFunction(space, tuple(values)), nu)
+
+            built.clear()
+            got = verify_rn(mu, nu, f)
+            assert got == per_set_verify_rn(mu, nu, f), (kind, change, str(f))
+            # the integral table is built only to list failures
+            assert len(built) == (not got.holds)
+            seen[f"verify {kind} {'pass' if got.holds else 'fail'}"] += 1
+            seen["infinite failure value"] += any(
+                not v.is_finite for _, lhs, rhs in got.failures for v in (lhs, rhs))
+            seen["f with 0, inf and a tie"] += (
+                ZERO in f.values and INF in f.values
+                and len(set(f.values)) < space.n_blocks)
+            seen["partitioned"] += not space.is_power_set
+
+            if mu.is_finite and nu.is_finite:
+                family = (family_from_function(f) if rng.random() < 0.6
+                          else random_family(space, rng))
+                got = check_decomposition(mu, nu, family)
+                assert got == all_pairs_decomposition(mu, nu, family), str(family)
+                seen[f"decomposition {kind} {'pass' if got.holds else 'fail'}"] += 1
+        assert len(seen) == 4 * 2 + 3 + 3 * 2, seen
+        assert min(seen.values()) >= 12, seen
 
 
 class TestDyadicApproximants:

@@ -1,6 +1,9 @@
 """Truncation models, gluing and truncated-limit verification."""
 
+import contextlib
 import dataclasses
+import io
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -24,6 +27,7 @@ from choquetrn import (
     verify_sigma_finite,
 )
 from choquetrn import sigma_finite
+from choquetrn.cli import EXIT_PASS, main
 from support import (
     per_level_glue,
     per_level_model,
@@ -375,6 +379,20 @@ class TestFamilyGenerators:
 
         f = derive_function(family)
         assert all(f(a) == Fraction(a) for a in space.atoms)
+
+    def test_one_family_per_sigma_finite_request(self, monkeypatch, tmp_path):
+        """Parsing validates the model's threshold-tail family and gluing
+        reads the same one."""
+        calls = []
+        build = sigma_finite.family_from_function
+        monkeypatch.setattr(sigma_finite, "family_from_function",
+                            lambda f: calls.append(f) or build(f))
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"truncations": {"N_max": 4, "measures": {
+            "mu": {"rule": "max_element"}, "nu": {"rule": "indicator_nonempty"}}}}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["sigma-finite", "--input", str(path)]) == EXIT_PASS
+        assert len(calls) == 1
 
 
 class TestGlue:

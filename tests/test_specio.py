@@ -272,6 +272,9 @@ def test_error_locations():
     ({"family": [{"alpha": "0", "set": []}]}, "family"),
     ({"partition": [["a"]], "truncations": {"N_max": 1, "measures": {
         "mu": {"rule": "cardinality"}, "nu": {"rule": "cardinality"}}}}, "partition"),
+    # zero_plus refines a family, so it is an error without one, not dropped
+    ({"atoms": ["a", "b"], "zero_plus": ["a"], "measures": {
+        "mu": {"rule": "zero"}, "nu": {"rule": "zero"}}}, "zero_plus"),
 ])
 def test_malformed_entries_are_located(data, location):
     """Wrong types and values in any entry give a located SpecFileError,
@@ -316,9 +319,13 @@ def _explicit_tables(tables):
     ("sigma-finite", _truncations({"rule": "additive_sequence",
                                    "weights": ["1", "0/0", "1", "1"]}),
      "truncations: '0/0': a denominator may not be 0"),
+    ("props", {"atoms": ["a", "b"], "zero_plus": ["a"], "measures": {
+        "mu": {"rule": "zero"}, "nu": {"rule": "zero"}}},
+     "zero_plus: needs 'family'"),
 ], ids=["too-few-weights", "weight-object", "too-few-tables", "tables-string",
         "unknown-atom", "missing-weights", "zero-scale-denominator",
-        "zero-value-denominator", "zero-weight-denominator"])
+        "zero-value-denominator", "zero-weight-denominator",
+        "zero-plus-without-family"])
 def test_malformed_rules_say_what_they_expected(capsys, tmp_path, command, data,
                                                 message):
     """A malformed rule names what it expected, and the CLI exits 3 with it."""
