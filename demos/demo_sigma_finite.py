@@ -40,7 +40,7 @@ def main():
     print("== verifying the glued density ==")
     check = verify_sigma_finite(model, result.function)
     print(f"mu(A & U_n) = integral of f over A & U_n for all A, n: {check.holds}")
-    print(f"  test sets checked: {check.checked}, failing: {len(check.records)}")
+    print(f"  sets checked: {check.checked}, failing: {len(check.records)}")
     A = model.deepest.make_set(["1", "4", "7"])
     prefixes = [(1 << depth) - 1 for depth in model.depths]
     cuts = [MeasurableSet(model.deepest, A.mask & prefix) for prefix in prefixes]

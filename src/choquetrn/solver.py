@@ -70,13 +70,17 @@ from .spaces import MeasurableSet, lowest_bit_fill, selector_masks
 class SolverCertificate:
     solvable: bool
     function: Optional[SimpleFunction]
-    family: Optional[DecompositionFamily]
     verification: Optional[RnReport]
     ac_witness: Optional[Witness]
     note: str
 
     # always empty: the benchmark's tracer counts its length
     chain_records = ()
+
+    @property
+    def family(self) -> Optional[DecompositionFamily]:
+        """The density's level-set family, built when read."""
+        return None if self.function is None else family_from_function(self.function)
 
     def __bool__(self):
         return self.solvable
@@ -119,7 +123,6 @@ def solve_rn(mu: MonotoneMeasure, nu: MonotoneMeasure) -> SolverCertificate:
         return SolverCertificate(
             solvable=False,
             function=None,
-            family=None,
             verification=None,
             ac_witness=None if ac.holds else ac.witness,
             note=note,
@@ -169,7 +172,6 @@ def solve_rn(mu: MonotoneMeasure, nu: MonotoneMeasure) -> SolverCertificate:
     return SolverCertificate(
         solvable=True,
         function=f,
-        family=family_from_function(f),
         verification=verification,
         ac_witness=None,
         note="the least density",

@@ -498,6 +498,52 @@ class TestIntegerScans:
         assert min(seen.values()) >= 12, seen
 
 
+class TestDecompositionIsVerification:
+    """check_decomposition(mu, nu, F) decides what verify_rn(mu, nu, f)
+    decides for f = derive_function(F), with finite mu and nu and families
+    whose density may be infinite (a nonempty tail set).  When the tail is
+    null, both name the same first failing set."""
+
+    def test_same_verdict_and_first_failing_set(self):
+        rng = random.Random(67)
+        seen = Counter()
+        for trial in range(1200):
+            space = random_space(rng, 2, 5)
+            if trial % 3 == 1:
+                space = coarsened(space, rng)
+            nu = (random_monotone_measure if trial % 2 else null_heavy_measure)(space, rng)
+            f = tied_function(space, rng)
+            family = family_from_function(f)
+            # mu is the integral of f with infinity replaced by 3, then
+            # perhaps raised on the supersets of one set, the integral of
+            # a function changed on one block, or an unrelated measure
+            finite = [v if v.is_finite else ExtReal(3) for v in f.values]
+            change = (trial // 2) % 4
+            if change == 2:
+                finite[rng.randrange(space.n_blocks)] = ExtReal(random_fraction(rng))
+            mu = indefinite_integral_measure(SimpleFunction(space, tuple(finite)), nu)
+            if change == 1:
+                S = list(space.subsets())[rng.randrange(1, space.n_subsets())].mask
+                mu = measure_from_table(space, {
+                    A: mu(A) + Fraction(1, 2) if A.mask & S == S else mu(A)
+                    for A in space.subsets()})
+            elif change == 3:
+                mu = random_monotone_measure(space, rng)
+
+            got = check_decomposition(mu, nu, family)
+            rn = verify_rn(mu, nu, derive_function(family))
+            assert got.holds == rn.holds, (str(f), change)
+            seen["pass" if got.holds else "fail"] += 1
+            seen["tail set"] += got.tail_set.mask != 0
+            if not got.tail_ok:
+                seen["tail failure"] += 1
+            elif not got.holds:
+                assert got.witness.sets[0] == rn.failures[0][0], (str(f), change)
+                seen["witness"] += 1
+                seen["witness after another failure"] += len(rn.failures) > 1
+        assert min(seen.values()) >= 100, seen
+
+
 class TestDyadicApproximants:
     def test_showcase_values(self):
         fx = fixture_f1()

@@ -290,6 +290,14 @@ def _truncations(mu_rule):
         "mu": mu_rule, "nu": {"rule": "cardinality"}}}}
 
 
+# mu = |A| on the depths 1 and 2 of the atoms 0 and 1
+_TWO_LEVELS = [
+    [{"set": [], "value": "0"}, {"set": ["0"], "value": "1"}],
+    [{"set": [], "value": "0"}, {"set": ["0"], "value": "1"},
+     {"set": ["1"], "value": "1"}, {"set": ["0", "1"], "value": "2"}],
+]
+
+
 def _explicit_tables(tables):
     return {"truncations": {"atoms": ["0", "1"], "depths": [1, 2], "measures": {
         "mu": {"rule": "explicit", "tables": tables}, "nu": {"rule": "cardinality"}}}}
@@ -305,6 +313,8 @@ def _explicit_tables(tables):
     ("sigma-finite", _explicit_tables([[{"set": [], "value": "0"},
                                         {"set": ["0"], "value": "1"}]]),
      "truncations: explicit needs 'tables' to list 2 tables, one per level; got 1"),
+    ("sigma-finite", _explicit_tables(_TWO_LEVELS + [[{"set": [], "value": "7"}]]),
+     "truncations: explicit needs 'tables' to list 2 tables, one per level; got 3"),
     ("sigma-finite", _explicit_tables("tables"),
      "truncations: explicit needs 'tables' to list 2 tables, one per level; got str"),
     ("props", {"atoms": ["a"], "measures": {"m": {"rule": "additive",
@@ -322,8 +332,8 @@ def _explicit_tables(tables):
     ("props", {"atoms": ["a", "b"], "zero_plus": ["a"], "measures": {
         "mu": {"rule": "zero"}, "nu": {"rule": "zero"}}},
      "zero_plus: needs 'family'"),
-], ids=["too-few-weights", "weight-object", "too-few-tables", "tables-string",
-        "unknown-atom", "missing-weights", "zero-scale-denominator",
+], ids=["too-few-weights", "weight-object", "too-few-tables", "too-many-tables",
+        "tables-string", "unknown-atom", "missing-weights", "zero-scale-denominator",
         "zero-value-denominator", "zero-weight-denominator",
         "zero-plus-without-family"])
 def test_malformed_rules_say_what_they_expected(capsys, tmp_path, command, data,
